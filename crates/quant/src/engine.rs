@@ -6,10 +6,10 @@
 //! default, or a private one via [`BatchEngine::with_threads`] — workers
 //! are spawned once and reused for every batch, with no per-call thread
 //! spawning and no hard-coded thread clamp), compiles each
-//! layer's [`GemmPlan`](crate::integer::GemmPlan) once per batch so the
-//! inner loops run on flat integer numerators instead of re-matching
-//! [`WeightCode`](crate::codes::WeightCode) enums per element, and keeps
-//! per-worker im2col/quantization scratch so the inner loops run
+//! layer's [`GemmPlan`](crate::integer::GemmPlan) once per loaded model, on
+//! first use, so the inner loops run on flat integer numerators instead of
+//! re-matching [`WeightCode`](crate::codes::WeightCode) enums per element,
+//! and keeps per-worker im2col/quantization scratch so the inner loops run
 //! allocation-free, with per-call setup amortised across each worker's
 //! share of the batch.
 //!
@@ -346,7 +346,8 @@ impl BatchEngine {
     /// deployment forms: each worker owns one [`BufferArena`] sized to the
     /// plan's buffer high-water marks plus one scratch set, so a whole
     /// forward pass does zero shape inference and near-zero allocation.
-    /// Per-layer results are bit-identical to
+    /// Each layer's GEMM row plan is compiled on the model's first call and
+    /// reused by every later one. Per-layer results are bit-identical to
     /// [`BatchEngine::forward_layer_batch`] on the same inputs (same
     /// compiled GEMM plans, same kernels); `ops` aggregates the GEMM steps'
     /// Table I accounting (pool/add/activation steps are ALU work the GEMM
@@ -401,7 +402,7 @@ impl BatchEngine {
         &self,
         model: &QuantizedModel,
         plan: &ExecutionPlan,
-        gemm_plans: &[Option<GemmPlan>],
+        gemm_plans: &[Option<&GemmPlan>],
         images: &[Tensor],
         step_nanos: Option<&mut [u64]>,
     ) -> BatchRun {
@@ -522,7 +523,7 @@ impl BatchEngine {
 }
 
 /// Validates a plan against a model and batch before any fan-out, and
-/// compiles each referenced layer's GEMM row plan exactly once.
+/// fetches each referenced layer's GEMM row plan (see [`layer_plan`]).
 ///
 /// Debug builds first re-prove the plan's model-independent invariants
 /// (SSA, buffer liveness, weight-free shape flow, reachability).
@@ -531,11 +532,11 @@ impl BatchEngine {
 /// plan's input shape, and every GEMM step's shape flow must agree with
 /// this model's geometry — a plan paired with the wrong model fails typed
 /// here, never by panic in a worker.
-fn validate_and_compile(
-    model: &QuantizedModel,
+fn validate_and_compile<'m>(
+    model: &'m QuantizedModel,
     plan: &ExecutionPlan,
     images: &[Tensor],
-) -> Result<Vec<Option<GemmPlan>>, QuantError> {
+) -> Result<Vec<Option<&'m GemmPlan>>, QuantError> {
     #[cfg(debug_assertions)]
     {
         let report = crate::verify::verify_plan(plan);
@@ -550,7 +551,7 @@ fn validate_and_compile(
             });
         }
     }
-    let mut gemm_plans: Vec<Option<GemmPlan>> = vec![None; model.layers().len()];
+    let mut gemm_plans: Vec<Option<&GemmPlan>> = vec![None; model.layers().len()];
     let mut dims: Vec<Option<&[usize]>> = vec![None; plan.buffer_sizes().len()];
     dims[plan.input_buffer()] = Some(plan.input_dims());
     for step in plan.steps() {
@@ -601,28 +602,43 @@ fn validate_and_compile(
                     ),
                 });
             }
-            if gemm_plans[layer].is_none() {
-                // Typed overflow errors surface here, before fan-out:
-                // the plan must be representable, and the layer's
-                // activation ceiling must provably fit the accumulator.
-                let gemm = l.matrix().try_plan()?;
-                let layer_act = match &l.form {
-                    DeployForm::Conv(conv) => conv.act_quantizer(),
-                    DeployForm::Matrix(_) => model.act_quantizer(),
-                };
-                gemm.check_act(layer_act)?;
-                note_kernel_rows(&gemm);
-                gemm_plans[layer] = Some(gemm);
-            }
+            // Typed overflow errors surface here, before fan-out.
+            gemm_plans[layer] = Some(layer_plan(l, model.act_quantizer())?);
         }
         dims[step.dst] = Some(&step.dims);
     }
     Ok(gemm_plans)
 }
 
+/// `layer`'s compiled GEMM row plan, built on its first use and cached on
+/// the layer, so a loaded model compiles each layer once however many
+/// calls, batches and replicas share it. The plan must be representable,
+/// and the activation ceiling (the conv's own quantizer, else the model's
+/// `model_act`) must provably fit the accumulator; a layer that fails
+/// either check caches and returns the same typed error on every call.
+fn layer_plan<'m>(
+    layer: &'m QuantizedLayer,
+    model_act: &ActQuantizer,
+) -> Result<&'m GemmPlan, QuantError> {
+    layer
+        .gemm
+        .get_or_init(|| {
+            let gemm = layer.matrix().try_plan()?;
+            gemm.check_act(match &layer.form {
+                DeployForm::Conv(conv) => conv.act_quantizer(),
+                DeployForm::Matrix(_) => model_act,
+            })?;
+            note_kernel_rows(&gemm);
+            Ok(gemm)
+        })
+        .as_ref()
+        .map_err(Clone::clone)
+}
+
 /// Reports a freshly compiled GEMM plan's row layout to the global
 /// metrics registry as `mixmatch_kernel_rows_total{tier=...}`: packed
 /// rows under the selected SIMD tier, dense-fallback rows under `dense`.
+/// It counts compiles, so a plan run's layers count once per loaded model.
 /// This makes a silent drop to scalar dispatch (a `MIXMATCH_FORCE_SCALAR`
 /// leak, a CPU without AVX2) observable on the metrics page.
 fn note_kernel_rows(plan: &GemmPlan) {
@@ -651,7 +667,7 @@ fn note_kernel_rows(plan: &GemmPlan) {
 fn build_profile(
     model: &QuantizedModel,
     plan: &ExecutionPlan,
-    gemm_plans: &[Option<GemmPlan>],
+    gemm_plans: &[Option<&GemmPlan>],
     images: usize,
     step_nanos: &[u64],
     total: std::time::Duration,
@@ -673,7 +689,7 @@ fn build_profile(
                 | StepOp::FusedConv { layer, .. }
                 | StepOp::Gemm { layer }
                 | StepOp::FusedGemm { layer, .. } => {
-                    Some((layer, gemm_plans[layer].as_ref().expect("compiled")))
+                    Some((layer, gemm_plans[layer].expect("compiled")))
                 }
                 _ => None,
             };
@@ -808,7 +824,7 @@ fn conv_image_planned(
 fn run_plan_single(
     layers: &[QuantizedLayer],
     plan: &ExecutionPlan,
-    gemm_plans: &[Option<GemmPlan>],
+    gemm_plans: &[Option<&GemmPlan>],
     act: &ActQuantizer,
     image: &Tensor,
     out: &mut Tensor,
@@ -831,7 +847,7 @@ fn run_plan_single(
                 };
                 let (src, dst) = arena.src_dst(step.srcs[0], step.dst, &step.dims);
                 ops = ops.merge(conv_image_planned(
-                    gemm_plans[layer].as_ref().expect("compiled before fan-out"),
+                    gemm_plans[layer].expect("compiled before fan-out"),
                     conv.geometry(),
                     conv.act_quantizer(),
                     src,
@@ -841,7 +857,7 @@ fn run_plan_single(
                 ));
             }
             StepOp::Gemm { layer } => {
-                let gemm = gemm_plans[layer].as_ref().expect("compiled before fan-out");
+                let gemm = gemm_plans[layer].expect("compiled before fan-out");
                 let (src, dst) = arena.src_dst(step.srcs[0], step.dst, &step.dims);
                 act.quantize_into(src.as_slice(), &mut scratch.quantized);
                 ops = ops.merge(gemm.matmul_into(
@@ -882,7 +898,7 @@ fn run_plan_single(
                 // output element is scaled and post-processed once, while
                 // still register-resident.
                 ops = ops.merge(conv_image_planned(
-                    gemm_plans[layer].as_ref().expect("compiled before fan-out"),
+                    gemm_plans[layer].expect("compiled before fan-out"),
                     conv.geometry(),
                     conv.act_quantizer(),
                     src,
@@ -895,7 +911,7 @@ fn run_plan_single(
                 // The source is read flat — it may hold an un-flattened
                 // map whose `Flatten` copy the optimizer removed. The
                 // epilogue is fused into the write-back.
-                let gemm = gemm_plans[layer].as_ref().expect("compiled before fan-out");
+                let gemm = gemm_plans[layer].expect("compiled before fan-out");
                 let (src, dst) = arena.src_dst(step.srcs[0], step.dst, &step.dims);
                 act.quantize_into(src.as_slice(), &mut scratch.quantized);
                 ops = ops.merge(gemm.matmul_patches_into(

@@ -653,6 +653,7 @@ fn read_layer(
         },
         form,
         packed: Some(packed),
+        gemm: std::sync::OnceLock::new(),
     })
 }
 

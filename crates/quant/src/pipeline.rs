@@ -33,7 +33,7 @@ use crate::admm::{AdmmConfig, AdmmQuantizer, LayerOverride, LayerQuantReport};
 use crate::deploy::QuantizedConv;
 use crate::error::QuantError;
 use crate::graph::ExecutionPlan;
-use crate::integer::{ActQuantizer, PackedMatrix, QuantizedMatrix};
+use crate::integer::{ActQuantizer, GemmPlan, PackedMatrix, QuantizedMatrix};
 use crate::msq::MsqPolicy;
 use crate::qat::{train_classifier_with_quantizer, EpochLog, QatConfig};
 use crate::rowwise::RowAssignment;
@@ -44,6 +44,7 @@ use mixmatch_nn::quantize::{QuantLayerDesc, QuantLayerKind, QuantizableModel};
 use mixmatch_tensor::{stats, Tensor};
 use std::fmt;
 use std::ops::Deref;
+use std::sync::OnceLock;
 
 /// Input feature-map edge assumed when neither the pipeline nor its
 /// hardware target pins one (matches `FpgaTarget`'s default).
@@ -425,6 +426,7 @@ impl QuantPipeline {
                 report,
                 form,
                 packed,
+                gemm: OnceLock::new(),
             });
         }
         let input_shape = self.input_shape.clone();
@@ -506,6 +508,10 @@ pub struct QuantizedLayer {
     pub form: DeployForm,
     /// Packed 4-bit serialization (`None` when the layer's bit-width ≠ 4).
     pub packed: Option<PackedMatrix>,
+    /// The compiled, overflow-checked GEMM row plan (or its typed error),
+    /// filled by the engine on the layer's first use and shared by every
+    /// later call, batch and replica holding the model.
+    pub(crate) gemm: OnceLock<Result<GemmPlan, QuantError>>,
 }
 
 impl QuantizedLayer {

@@ -1,53 +1,32 @@
-//! The dynamic-batching policy: coalesce queued items into one batch, up
-//! to `max_batch` items or a `max_wait` deadline — whichever comes first.
+//! The dynamic-batching policy: when the executor comes free, it takes the
+//! request that woke it plus whatever is already queued, up to
+//! `max_batch` items, and never waits for more.
 //!
-//! This is the standard serving move for accelerators with deep pipelines:
-//! a single-image request pays the whole pipeline fill, so the batcher
-//! trades a bounded queueing delay (`max_wait`) for the near-linear
-//! throughput of `BatchEngine::run_plan_batch` at larger batches (see
-//! `BENCH_throughput.json`). The policy is generic over the item type so
-//! its timing logic is testable without a server.
+//! A lone request on an idle server runs at once, at batch-1 cost, like a
+//! frame entering the accelerator's streaming dataflow. Under load the
+//! batches still grow: requests queue while the executor runs, and the
+//! next drain hands them to `BatchEngine::run_plan_batch` together (the
+//! adaptive batching of Clipper, without a hold-open timer). The policy is
+//! generic over the item type so it is testable without a server.
 
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::Receiver;
 
-/// Collects a batch starting from `first`: drains the queue until
-/// `max_batch` items are in hand or `max_wait` has elapsed since the batch
-/// opened. Returns early (with what it has) when the channel disconnects —
-/// the caller observes the disconnect on its next blocking receive.
-///
-/// `max_batch == 1` degenerates to no batching and never waits.
-pub fn coalesce<T>(rx: &Receiver<T>, first: T, max_batch: usize, max_wait: Duration) -> Vec<T> {
-    // Saturate huge windows ("always wait for a full batch") instead of
-    // overflowing `Instant` arithmetic and killing the batcher thread.
-    let deadline = Instant::now()
-        .checked_add(max_wait)
-        .unwrap_or_else(|| Instant::now() + Duration::from_secs(86_400));
-    let mut batch = Vec::with_capacity(max_batch.max(1));
-    batch.push(first);
-    while batch.len() < max_batch {
-        // Opportunistically drain whatever is already queued before paying
-        // for a timed wait.
-        if let Ok(item) = rx.try_recv() {
-            batch.push(item);
-            continue;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        match rx.recv_timeout(deadline - now) {
-            Ok(item) => batch.push(item),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    batch
+/// Collects a batch starting from `first`: drains the queued items without
+/// blocking, until `max_batch` items are in hand or the queue is empty.
+/// A disconnected channel ends the drain like an empty one; the caller
+/// observes the disconnect on its next blocking receive.
+pub fn coalesce<T>(rx: &Receiver<T>, first: T, max_batch: usize) -> Vec<T> {
+    std::iter::once(first)
+        .chain(rx.try_iter())
+        .take(max_batch.max(1))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn fills_to_max_batch_without_waiting_when_queue_is_hot() {
@@ -56,55 +35,32 @@ mod tests {
             tx.send(i).unwrap();
         }
         let start = Instant::now();
-        let batch = coalesce(&rx, 0, 4, Duration::from_secs(5));
+        let batch = coalesce(&rx, 0, 4);
         assert_eq!(batch, vec![0, 1, 2, 3]);
         assert!(start.elapsed() < Duration::from_secs(1), "must not wait");
-        // The rest (5 queued + the blocking receive) forms the next batch;
-        // an expired deadline still drains what is already queued.
-        assert_eq!(
-            coalesce(&rx, rx.recv().unwrap(), 16, Duration::ZERO).len(),
-            6
-        );
+        // The rest (5 queued + the blocking receive) forms the next batch.
+        assert_eq!(coalesce(&rx, rx.recv().unwrap(), 16).len(), 6);
     }
 
     #[test]
     fn max_batch_one_never_waits() {
         let (_tx, rx) = mpsc::channel::<u32>();
         let start = Instant::now();
-        let batch = coalesce(&rx, 7, 1, Duration::from_secs(5));
+        let batch = coalesce(&rx, 7, 1);
         assert_eq!(batch, vec![7]);
         assert!(start.elapsed() < Duration::from_secs(1));
     }
 
     #[test]
-    fn deadline_closes_a_partial_batch() {
-        let (tx, rx) = mpsc::channel();
+    fn empty_queue_returns_first_without_blocking() {
+        // A live sender with nothing queued: the drain must not wait for it.
+        let (tx, rx) = mpsc::channel::<u32>();
         let start = Instant::now();
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(5));
-            let _ = tx.send(1);
-            // This one arrives after the deadline.
-            std::thread::sleep(Duration::from_millis(200));
-            let _ = tx.send(2);
-        });
-        let batch = coalesce(&rx, 0, 8, Duration::from_millis(60));
-        assert_eq!(batch, vec![0, 1]);
-        assert!(
-            start.elapsed() < Duration::from_millis(150),
-            "deadline held"
-        );
-        handle.join().unwrap();
-        assert_eq!(rx.recv().unwrap(), 2);
-    }
-
-    #[test]
-    fn unbounded_max_wait_does_not_overflow() {
-        // `Duration::MAX` must saturate, not panic in `Instant + Duration`.
-        let (tx, rx) = mpsc::channel();
-        for i in 1..4 {
-            tx.send(i).unwrap();
-        }
-        assert_eq!(coalesce(&rx, 0, 4, Duration::MAX), vec![0, 1, 2, 3]);
+        assert_eq!(coalesce(&rx, 7, 32), vec![7]);
+        assert!(start.elapsed() < Duration::from_secs(1));
+        // A later arrival is left for the next batch.
+        tx.send(8).unwrap();
+        assert_eq!(rx.recv().unwrap(), 8);
     }
 
     #[test]
@@ -112,6 +68,6 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         tx.send(1).unwrap();
         drop(tx);
-        assert_eq!(coalesce(&rx, 0, 8, Duration::from_secs(5)), vec![0, 1]);
+        assert_eq!(coalesce(&rx, 0, 8), vec![0, 1]);
     }
 }

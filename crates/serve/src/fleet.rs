@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! callers ── infer(name, image) ──▶ fleet queue ──▶ fleet batcher
-//!    ▲                                               │ coalesce ≤ max_batch
+//!    ▲                                               │ drain ≤ max_batch
 //!    │                                               │ group by model
 //!    │                                               ▼
 //!    │                       router::place(cost_us × queue_depth, batch)
@@ -20,12 +20,16 @@
 //! the target prices the served plan through the cycle simulator once per
 //! load, and the router places every *coalesced batch* on the replica with
 //! the lowest estimated completion time — predicted per-image device
-//! latency times (live queue depth + batch size). Replica failures trip a
+//! latency times (live queue depth + batch size). Both the router and each
+//! replica drain their queues without a timer ([`crate::batcher`]), so a
+//! lone request is placed and executed at once. Replica failures trip a
 //! per-replica circuit breaker ([`crate::health`]): consecutive failures
-//! evict, a timed half-open probe re-admits. Loading an artifact rolls it
-//! across the fleet replica by replica; in-flight requests finish on the
-//! weights they were admitted under (each replica's swap lands on its next
-//! batch boundary), so a fleet-wide hot-swap drops nothing.
+//! evict, a timed half-open probe re-admits. Loading an artifact imports
+//! it once and rolls the same `Arc<CompiledModel>` across the fleet
+//! replica by replica, so the fleet compiles each model once; in-flight
+//! requests finish on the weights they were admitted under (each
+//! replica's swap lands on its next batch boundary), so a fleet-wide
+//! hot-swap drops nothing.
 
 use crate::batcher::coalesce;
 use crate::error::ServeError;
@@ -71,8 +75,6 @@ impl ReplicaSpec {
 pub struct FleetConfig {
     /// Largest coalesced batch the router places at once (≥ 1).
     pub max_batch: usize,
-    /// Longest the fleet batcher holds a batch open.
-    pub max_wait: Duration,
     /// Bounded fleet admission-queue depth.
     pub queue_depth: usize,
     /// Knobs for each replica's own [`ModelServer`].
@@ -88,7 +90,6 @@ impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
             max_batch: 32,
-            max_wait: Duration::from_millis(2),
             queue_depth: 1024,
             replica: ServeConfig::default(),
             health: HealthPolicy::default(),
@@ -101,12 +102,6 @@ impl FleetConfig {
     /// Sets the router's largest coalesced batch (clamped to ≥ 1).
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
-        self
-    }
-
-    /// Sets the fleet batch-coalescing deadline.
-    pub fn with_max_wait(mut self, max_wait: Duration) -> Self {
-        self.max_wait = max_wait;
         self
     }
 
@@ -307,10 +302,10 @@ impl FleetServer {
             .collect();
         let (tx, rx) = mpsc::sync_channel(config.queue_depth);
         let router_replicas = replicas.clone();
-        let (max_batch, max_wait) = (config.max_batch, config.max_wait);
+        let max_batch = config.max_batch;
         let batcher = std::thread::Builder::new()
             .name("mixmatch-fleet-router".into())
-            .spawn(move || router_loop(&rx, &router_replicas, max_batch, max_wait))
+            .spawn(move || router_loop(&rx, &router_replicas, max_batch))
             .expect("spawn fleet router thread");
         FleetServer {
             config,
@@ -330,24 +325,25 @@ impl FleetServer {
         self.replicas.len()
     }
 
-    /// Restores a serialized `MMCM` artifact and rolls it across the whole
-    /// fleet under `name` — each replica imports its own copy, prices it
-    /// on its own hardware target (the router's cost input), and
-    /// hot-swaps at its next batch boundary. In-flight requests finish on
-    /// the weights they were admitted under; nothing is dropped.
+    /// Restores a serialized `MMCM` artifact once and rolls it across the
+    /// whole fleet under `name` — every replica shares the one imported
+    /// model (and so its compiled GEMM plans), prices it on its own
+    /// hardware target (the router's cost input), and hot-swaps at its
+    /// next batch boundary. In-flight requests finish on the weights they
+    /// were admitted under; nothing is dropped.
     ///
     /// # Errors
     ///
     /// Everything [`ModelServer::load_artifact`] rejects. The artifact
-    /// bytes are validated on the first replica before any replica swaps,
-    /// so a malformed artifact cannot leave the fleet half-rolled.
+    /// bytes are imported before any replica swaps, so a malformed
+    /// artifact cannot leave the fleet half-rolled.
     pub fn load_artifact(&self, name: &str, bytes: &[u8]) -> Result<(), ServeError> {
+        let compiled = Arc::new(import_compiled(bytes)?);
         for replica in &self.replicas {
-            let compiled = import_compiled(bytes)?;
             let cost = compiled
                 .predict_with(replica.target.as_ref(), 1)
                 .map_or(DEFAULT_COST_US, |s| f64::from(s.latency_ms) * 1_000.0);
-            replica.server.load(name, compiled)?;
+            replica.server.load(name, Arc::clone(&compiled))?;
             replica
                 .costs
                 .write()
@@ -469,16 +465,12 @@ impl Drop for FleetServer {
     }
 }
 
-/// The fleet router thread: block for one request, coalesce a batch,
-/// place it group-by-group, repeat until shutdown drains the queue.
-fn router_loop(
-    rx: &Receiver<FleetRequest>,
-    replicas: &[Arc<Replica>],
-    max_batch: usize,
-    max_wait: Duration,
-) {
+/// The fleet router thread: block for one request, drain the queued ones
+/// into its batch, place it group-by-group, repeat until shutdown drains
+/// the queue.
+fn router_loop(rx: &Receiver<FleetRequest>, replicas: &[Arc<Replica>], max_batch: usize) {
     while let Ok(first) = rx.recv() {
-        let batch = coalesce(rx, first, max_batch, max_wait);
+        let batch = coalesce(rx, first, max_batch);
         // Group by model, preserving arrival order within each group.
         let mut groups: Vec<(String, Vec<FleetRequest>)> = Vec::new();
         for request in batch {

@@ -5,18 +5,21 @@
 //! requests into the large batches where `BatchEngine`'s throughput lives.
 //!
 //! The paper's accelerator (and its software twin, the
-//! [`BatchEngine`](mixmatch_quant::engine::BatchEngine)) is a deep GEMM
-//! pipeline: per-call setup amortises across a batch, so batch-32 far
-//! outruns batch-1 (`BENCH_throughput.json`). Real traffic arrives one
-//! image at a time, though. [`ModelServer`] closes that gap:
+//! [`BatchEngine`](mixmatch_quant::engine::BatchEngine)) loads a model's
+//! weights once and streams each frame through its GEMM cores as it
+//! arrives; per-call setup amortises across a batch, so batches beat
+//! single images on throughput. Real traffic arrives one image at a time,
+//! though. [`ModelServer`] serves both cases:
 //!
 //! * a **registry** of named [`CompiledModel`]s, loadable from serialized
 //!   `MMCM` artifacts and hot-swappable behind an `Arc` swap,
 //! * a **bounded admission queue** — a full queue rejects with
 //!   [`ServeError::Overloaded`] instead of growing an unbounded backlog,
-//! * a **dynamic batcher** that coalesces queued requests up to
-//!   `max_batch` or a `max_wait` deadline (whichever first) and drives
-//!   `BatchEngine::run_plan_batch` on the shared process-wide worker pool,
+//! * a **dynamic batcher** that, whenever the engine comes free, drains
+//!   every queued request (up to `max_batch`) without a timer and drives
+//!   `BatchEngine::run_plan_batch` on the shared process-wide worker pool:
+//!   a lone request runs at once, and batches grow under load because
+//!   requests queue while a batch executes,
 //! * per-request **reply channels + ids**, so a response can never reach a
 //!   neighboring caller, and
 //! * per-model **latency/throughput counters** (p50/p95/p99/p99.9 from a
@@ -43,7 +46,6 @@
 //! use mixmatch_nn::layers::Linear;
 //! use mixmatch_nn::module::Sequential;
 //! use mixmatch_tensor::{Tensor, TensorRng};
-//! use std::time::Duration;
 //!
 //! // Quantize a model (any pipeline output with a compiled plan works).
 //! let mut rng = TensorRng::seed_from(0);
@@ -55,11 +57,7 @@
 //!     .expect("quantize");
 //!
 //! // Serve it: submit asynchronously, join the handle for the logits.
-//! let server = ModelServer::start(
-//!     ServeConfig::default()
-//!         .with_max_batch(8)
-//!         .with_max_wait(Duration::from_millis(1)),
-//! );
+//! let server = ModelServer::start(ServeConfig::default().with_max_batch(8));
 //! server.load("mlp", compiled).expect("load");
 //! let pending = server.infer("mlp", Tensor::zeros(&[8])).expect("admit");
 //! let logits = pending.wait().expect("inference");

@@ -10,10 +10,11 @@
 //!
 //! Besides the end-to-end latency, each model tracks per-stage
 //! histograms for the request lifecycle — `queue` (admission → batch
-//! execution start), `coalesce` (time the batcher waited to fill the
-//! batch), and `execute` (engine wall time) — which are also registered
-//! in [`Registry::global`] under `mixmatch_request_stage_seconds` so the
-//! `METRICS` wire verb exposes them as Prometheus text.
+//! execution start), `coalesce` (time the batcher spent draining the
+//! queue into the batch), and `execute` (engine wall time) — which are
+//! also registered in [`Registry::global`] under
+//! `mixmatch_request_stage_seconds` so the `METRICS` wire verb exposes
+//! them as Prometheus text.
 //!
 //! [`Instant`]: std::time::Instant
 
@@ -51,7 +52,7 @@ pub struct ModelMetrics {
     pub latency: Arc<LatencyHistogram>,
     /// Admission → batch-execution-start wait per request.
     pub queue_wait: Arc<LatencyHistogram>,
-    /// Batcher coalesce window attributed to each request's batch.
+    /// Batcher queue-drain time attributed to each request's batch.
     pub coalesce: Arc<LatencyHistogram>,
     /// Engine wall time of each request's batch.
     pub execute: Arc<LatencyHistogram>,
@@ -170,8 +171,7 @@ pub struct ModelStats {
     pub p95: Duration,
     /// 99th-percentile latency (bucket upper bound).
     pub p99: Duration,
-    /// 99.9th-percentile latency (bucket upper bound) — the tail the
-    /// fleet-size sweep in `BENCH_serving.json` tracks.
+    /// 99.9th-percentile latency (bucket upper bound).
     pub p999: Duration,
     /// Per-stage lifecycle breakdown (`queue`, `coalesce`, `execute`).
     pub stages: Vec<StageStats>,

@@ -2,21 +2,23 @@
 //!
 //! ```text
 //! callers ── infer(name, image) ──▶ bounded queue ──▶ batcher thread
-//!    ▲                              (admission:        │ coalesce ≤ max_batch
-//!    │                               Overloaded        │ or max_wait
+//!    ▲                              (admission:        │ drain queued
+//!    │                               Overloaded        │ ≤ max_batch
 //!    └── Pending::wait ◀── reply ◀── when full)        ▼
 //!                                              BatchEngine::run_plan_batch
 //!                                              (WorkerPool::global())
 //! ```
 //!
 //! One batcher thread owns the queue: it blocks for the first request,
-//! coalesces follow-ups into a batch (per [`crate::batcher::coalesce`]),
-//! groups the batch by model, and drives each group through
-//! `BatchEngine::run_plan_batch` — so independent single-image requests
-//! ride the engine's batched throughput. Every request carries its own
-//! reply channel plus a server-unique id, so responses can never cross
-//! callers; correctness is pinned by `tests/serving.rs` (bit-identical to
-//! `run_plan` on the caller's own input, under concurrent load).
+//! drains whatever else is already queued into a batch, without a timer
+//! (per [`crate::batcher::coalesce`]), groups the batch by model, and
+//! drives each group through `BatchEngine::run_plan_batch`. A lone request
+//! runs at once; under load, requests queue while a batch executes and
+//! ride the engine's batched throughput together. Every request carries
+//! its own reply channel plus a server-unique id, so responses can never
+//! cross callers; correctness is pinned by `tests/serving.rs`
+//! (bit-identical to `run_plan` on the caller's own input, under
+//! concurrent load).
 
 use crate::batcher::coalesce;
 use crate::error::ServeError;
@@ -40,15 +42,13 @@ const _: fn() = || {
     assert_shareable::<CompiledModel>();
 };
 
-/// Serving knobs. The defaults target the engine's sweet spot (batch 32)
-/// with a small coalescing window; tune `max_wait` against the latency
-/// budget and `queue_depth` against the acceptable overload backlog.
+/// Serving knobs. `max_batch` caps one drain of the queue at the engine's
+/// sweet spot (batch 32); tune `queue_depth` against the acceptable
+/// overload backlog.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Largest batch handed to the engine (≥ 1).
     pub max_batch: usize,
-    /// Longest a batch is held open waiting for more requests.
-    pub max_wait: Duration,
     /// Bounded admission-queue depth; a full queue rejects with
     /// [`ServeError::Overloaded`] instead of growing the backlog.
     pub queue_depth: usize,
@@ -62,7 +62,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 32,
-            max_wait: Duration::from_millis(2),
             queue_depth: 256,
             threads: None,
         }
@@ -73,12 +72,6 @@ impl ServeConfig {
     /// Sets the largest engine batch (clamped to ≥ 1).
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
-        self
-    }
-
-    /// Sets the batch-coalescing deadline.
-    pub fn with_max_wait(mut self, max_wait: Duration) -> Self {
-        self.max_wait = max_wait;
         self
     }
 
@@ -229,10 +222,10 @@ impl ModelServer {
             Some(threads) => BatchEngine::with_threads(threads),
             None => BatchEngine::new(),
         };
-        let (max_batch, max_wait) = (config.max_batch, config.max_wait);
+        let max_batch = config.max_batch;
         let batcher = std::thread::Builder::new()
             .name("mixmatch-serve-batcher".into())
-            .spawn(move || batcher_loop(&rx, &engine, max_batch, max_wait))
+            .spawn(move || batcher_loop(&rx, &engine, max_batch))
             .expect("spawn batcher thread");
         ModelServer {
             config,
@@ -256,7 +249,9 @@ impl ModelServer {
     /// Registers `compiled` under `name`, hot-swapping atomically if the
     /// name is already serving: requests admitted before the swap finish on
     /// the old weights, every later batch reads the new `Arc`. Counters for
-    /// the name persist across swaps.
+    /// the name persist across swaps. An `Arc` shared with other servers
+    /// (a fleet's replicas) shares the model's lazily compiled GEMM plans
+    /// too, so the model compiles once however many servers hold it.
     ///
     /// # Errors
     ///
@@ -266,7 +261,12 @@ impl ModelServer {
     /// [`ServeError::Verification`] when the plan fails the static
     /// verifier against the model's layer table — the server never
     /// registers a model the engine could fault on mid-batch.
-    pub fn load(&self, name: &str, compiled: CompiledModel) -> Result<(), ServeError> {
+    pub fn load(
+        &self,
+        name: &str,
+        compiled: impl Into<Arc<CompiledModel>>,
+    ) -> Result<(), ServeError> {
+        let compiled = compiled.into();
         let plan = compiled.require_plan()?;
         let report = mixmatch_quant::verify::verify(plan, &compiled.layer_descs());
         if !report.is_clean() {
@@ -274,7 +274,6 @@ impl ModelServer {
                 report: report.to_string(),
             });
         }
-        let compiled = Arc::new(compiled);
         let mut registry = self.registry.lock().expect("registry poisoned");
         match registry.get(name) {
             Some(entry) => {
@@ -468,19 +467,15 @@ impl Drop for ModelServer {
     }
 }
 
-/// The batcher thread: block for one request, coalesce a batch, execute,
-/// repeat until the queue disconnects (shutdown) and is fully drained.
-fn batcher_loop(
-    rx: &Receiver<Request>,
-    engine: &BatchEngine,
-    max_batch: usize,
-    max_wait: Duration,
-) {
+/// The batcher thread: block for one request, drain the queued ones into
+/// its batch, execute, repeat until the queue disconnects (shutdown) and
+/// is fully drained.
+fn batcher_loop(rx: &Receiver<Request>, engine: &BatchEngine, max_batch: usize) {
     while let Ok(first) = rx.recv() {
         let opened = Instant::now();
-        let batch = coalesce(rx, first, max_batch, max_wait);
-        // The coalesce window is a property of the whole batch: every
-        // member waited (part of) it, so it is attributed to each request.
+        let batch = coalesce(rx, first, max_batch);
+        // The drain is a property of the whole batch, so its time is
+        // attributed to each member.
         let batch_wait = opened.elapsed();
         execute_batch(engine, batch, batch_wait);
     }
@@ -549,7 +544,7 @@ fn execute_batch(engine: &BatchEngine, batch: Vec<Request>, batch_wait: Duration
             .batched_images
             .fetch_add(images.len() as u64, Ordering::Relaxed);
         // Lifecycle stages: how long each member sat admitted before its
-        // batch started, the coalesce window, and the engine wall time.
+        // batch started, the queue drain, and the engine wall time.
         let exec_start = Instant::now();
         for meta in &metas {
             entry
@@ -687,15 +682,12 @@ mod tests {
 
     #[test]
     fn wait_timeout_fails_typed_while_the_batch_is_held_open() {
-        // A long coalescing window with max_batch > 1 parks the request in
-        // the batcher: the caller's timeout must fire first, typed.
-        let server = ModelServer::start(
-            ServeConfig::default()
-                .with_max_batch(32)
-                .with_max_wait(Duration::from_secs(30))
-                .with_threads(1),
-        );
+        // Holding the entry's write lock parks the batcher at its hot-swap
+        // read: the caller's timeout must fire first, typed.
+        let server = ModelServer::start(ServeConfig::default().with_max_batch(32).with_threads(1));
         server.load("mlp", mlp_model(8)).expect("load");
+        let entry = Arc::clone(&server.registry.lock().expect("registry poisoned")["mlp"]);
+        let held = entry.compiled.write().expect("entry poisoned");
         let mut rng = TensorRng::seed_from(9);
         let image = Tensor::rand_uniform(&[6], 0.0, 1.0, &mut rng);
         let pending = server.infer("mlp", image).expect("admit");
@@ -707,6 +699,7 @@ mod tests {
         assert!(matches!(err, ServeError::Timeout { .. }));
         // Shutdown drains the held batch; the late reply is discarded and
         // the gauge settles back to zero.
+        drop(held);
         server.shutdown();
         assert_eq!(server.queue_len(), 0);
     }

@@ -628,8 +628,8 @@ pub fn decode_fleet_stats(payload: &[u8]) -> Result<FleetStats, ServeError> {
 // ---------------------------------------------------------------------------
 
 /// Small blocking client for the fleet wire protocol: one TCP connection,
-/// lock-step request/response. `serve_demo` drives open-loop traffic by
-/// running one client per submitter thread.
+/// lock-step request/response. Open-loop traffic runs one client per
+/// submitter thread, as the repository benchmark (`perfbench`) does.
 pub struct FleetClient {
     stream: TcpStream,
 }

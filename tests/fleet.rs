@@ -100,9 +100,7 @@ fn tcp_responses_are_bit_identical_to_run_plan_across_fleet_sizes() {
     ];
     for devices in mixes {
         let (fleet, wire) = start_wired_fleet(
-            FleetConfig::default()
-                .with_max_wait(Duration::from_micros(500))
-                .with_replica_config(ServeConfig::default().with_threads(1)),
+            FleetConfig::default().with_replica_config(ServeConfig::default().with_threads(1)),
             devices,
         );
         let addr = wire.local_addr();
@@ -165,7 +163,6 @@ fn killed_replica_mid_load_is_shed_with_zero_corrupted_responses() {
 
     let (fleet, wire) = start_wired_fleet(
         FleetConfig::default()
-            .with_max_wait(Duration::from_micros(500))
             .with_health(
                 HealthPolicy::default()
                     .with_evict_after(2)
@@ -219,9 +216,7 @@ fn fleet_wide_hot_swap_drops_nothing_and_every_reply_matches_a_version() {
     assert_ne!(refs1[0], refs2[0], "fixture versions must differ");
 
     let (fleet, wire) = start_wired_fleet(
-        FleetConfig::default()
-            .with_max_wait(Duration::from_micros(500))
-            .with_replica_config(ServeConfig::default().with_threads(1)),
+        FleetConfig::default().with_replica_config(ServeConfig::default().with_threads(1)),
         &[FpgaDevice::XC7Z045, FpgaDevice::XCZU3CG],
     );
     let addr = wire.local_addr();

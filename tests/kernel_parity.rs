@@ -283,6 +283,26 @@ fn engine_surfaces_typed_overflow_for_wide_pow2_codebooks() {
         Err(QuantError::Overflow(o)) => assert!(o.bound > o.limit),
         other => panic!("expected typed Overflow, got {other:?}"),
     }
+
+    // Through a whole plan: the layer caches its failed compile, so a
+    // second `run_plan` on the same model returns the same typed error.
+    let mut model = mixmatch::nn::module::Sequential::new();
+    model.push(mixmatch::nn::layers::Linear::with_name(
+        "fc", 16, 4, false, &mut rng,
+    ));
+    let compiled = QuantPipeline::from_policy(MsqPolicy::single(Scheme::Pow2, 7))
+        .with_act_quantizer(act)
+        .with_input_shape(&[16])
+        .quantize(&mut model)
+        .expect("quantize wide pow2 layer");
+    let plan = compiled.require_plan().expect("plan");
+    let first = engine.run_plan(compiled.model(), plan, &inputs).err();
+    match &first {
+        Some(QuantError::Overflow(o)) => assert!(o.bound > o.limit),
+        other => panic!("expected typed Overflow from run_plan, got {other:?}"),
+    }
+    let second = engine.run_plan(compiled.model(), plan, &inputs).err();
+    assert_eq!(second, first, "the cached error repeats");
 }
 
 proptest! {

@@ -66,7 +66,6 @@ fn overlapping_scoped_runs_on_the_global_pool_stay_correct() {
         let server = Arc::new(ModelServer::start(
             ServeConfig::default()
                 .with_max_batch(4)
-                .with_max_wait(Duration::from_micros(100))
                 .with_queue_depth(256),
         ));
         let compiled_for_server = compiled_mlp(1);

@@ -17,7 +17,6 @@ use mixmatch::quant::export::export_compiled;
 use mixmatch::quant::export::import_compiled;
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A small quantized MLP (`[12] → [10]`) exported to an `MMCM` artifact —
 /// servers load it through the same path deployments use.
@@ -80,7 +79,6 @@ fn concurrent_requests_are_bit_identical_to_run_plan_across_configs() {
             let server = Arc::new(ModelServer::start(
                 ServeConfig::default()
                     .with_max_batch(max_batch)
-                    .with_max_wait(Duration::from_millis(1))
                     .with_queue_depth(2 * THREADS * PER_THREAD)
                     .with_threads(pool_threads),
             ));
@@ -147,7 +145,6 @@ fn over_rate_burst_sheds_load_without_corrupting_in_flight_requests() {
     let server = ModelServer::start(
         ServeConfig::default()
             .with_max_batch(16)
-            .with_max_wait(Duration::from_millis(5))
             .with_queue_depth(8)
             .with_threads(1),
     );
@@ -215,7 +212,6 @@ proptest! {
         let server = ModelServer::start(
             ServeConfig::default()
                 .with_max_batch(max_batch)
-                .with_max_wait(Duration::from_micros(200))
                 .with_queue_depth(64)
                 .with_threads(2),
         );
