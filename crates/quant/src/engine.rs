@@ -9,7 +9,8 @@
 //! layer's [`GemmPlan`](crate::integer::GemmPlan) once per loaded model, on
 //! first use, so the inner loops run on flat integer numerators instead of
 //! re-matching [`WeightCode`](crate::codes::WeightCode) enums per element,
-//! and keeps per-worker im2col/quantization scratch so the inner loops run
+//! and keeps per-worker activation-code scratch (each GEMM input quantized
+//! once into integer codes, plus one im2col code tile) so the inner loops run
 //! allocation-free, with per-call setup amortised across each worker's
 //! share of the batch.
 //!
@@ -55,7 +56,7 @@ use crate::pipeline::{CompiledModel, DeployForm, QuantizedLayer, QuantizedModel}
 use crate::profile::{PlanProfile, StepProfile};
 use mixmatch_nn::quantize::QuantLayerKind;
 use mixmatch_tensor::arena::BufferArena;
-use mixmatch_tensor::im2col::{im2col_patches_into, ConvGeometry};
+use mixmatch_tensor::im2col::{im2col_patches_slice_into, ConvGeometry};
 use mixmatch_tensor::pool::WorkerPool;
 use mixmatch_tensor::simd::SimdTier;
 use mixmatch_tensor::{Tensor, TensorRng};
@@ -131,17 +132,16 @@ pub struct ModelRun {
     pub ops: OpCounts,
 }
 
-/// Per-worker scratch, reused across a worker's share of the batch: one
-/// patch-major im2col tile and its quantized copy, both sized to the
-/// cache-tiled chain's L1/L2 budget (see [`conv_tile_patches`]) instead of
-/// the whole `[K, patches]` image matrix. `transposed` backs the legacy
-/// `matmul_into` transpose path, which the tiled conv chain no longer
-/// touches (it stays empty in steady state).
+/// Per-worker scratch, reused across a worker's share of the batch:
+/// `codes` holds the current GEMM input (a conv's whole input map, or a
+/// dense layer's vector) quantized once to activation codes, and `tile`
+/// one patch-major im2col tile gathered from those codes, sized to the
+/// cache-tiled chain's budget (see [`conv_tile_patches`]) instead of the
+/// whole `[K, patches]` image matrix.
 #[derive(Default)]
 struct ConvScratch {
-    cols: Vec<f32>,
-    quantized: Vec<u32>,
-    transposed: Vec<u32>,
+    codes: Vec<u32>,
+    tile: Vec<u32>,
 }
 
 /// How a plan step's input geometry is validated against its layer: a conv
@@ -261,14 +261,7 @@ impl BatchEngine {
         plan.check_act(&act)?;
         note_kernel_rows(&plan);
         let ops = self.dispatch(inputs, &mut outputs, |input, out, scratch| {
-            act.quantize_into(input.as_slice(), &mut scratch.quantized);
-            plan.matmul_into(
-                &scratch.quantized,
-                1,
-                &act,
-                out.as_mut_slice(),
-                &mut scratch.transposed,
-            )
+            gemm_planned(&plan, &act, input, out, scratch, None)
         });
         Ok(BatchRun { outputs, ops })
     }
@@ -746,24 +739,26 @@ fn build_profile(
     }
 }
 
-/// Patch-tile size for the cache-tiled conv chain: the f32 im2col tile plus
-/// its quantized `u32` copy (8 bytes per element) should sit well inside
-/// L1/L2, so the im2col→quantize→GEMM chain for one tile never round-trips
-/// through main memory. Rounded to the kernels' column-block width.
+/// Patch-tile size for the cache-tiled conv chain: about 8 Ki activation
+/// codes (32 KiB of `u32`) per tile, so a tile and the code map it is
+/// gathered from stay in L1/L2 between im2col and GEMM. Rounded to the
+/// kernels' column-block width.
 fn conv_tile_patches(k: usize) -> usize {
-    const TILE_BYTES: usize = 64 * 1024;
-    let raw = (TILE_BYTES / (8 * k.max(1))).clamp(4, 4096);
+    const TILE_CODES: usize = 8 * 1024;
+    let raw = (TILE_CODES / k.max(1)).clamp(4, 4096);
     raw - raw % 4
 }
 
-/// One image through the planned conv datapath, tiled over the patch space:
-/// per tile, a patch-major im2col slab is produced, quantized, and reduced
-/// by the packed integer GEMM while still cache-resident — the whole-image
-/// `[K, patches]` matrix (and the transpose pass it used to require) is
-/// never materialized. Dense convs run all rows per tile; depthwise convs
-/// run their group's single row. When `epilogue` is given its post-ops are
-/// applied inside the GEMM write-back. Bit-identical to
+/// One image through the planned conv datapath: the input map is quantized
+/// once into activation codes, then tiled over the patch space — per tile, a
+/// patch-major im2col slab of codes is gathered and reduced by the packed
+/// integer GEMM while still cache-resident, so the whole-image
+/// `[K, patches]` matrix is never materialized and no element is quantized
+/// twice. Dense convs run all rows per tile; depthwise convs run their
+/// group's single row. When `epilogue` is given its post-ops are applied
+/// inside the GEMM write-back. Bit-identical to
 /// `QuantizedConv::try_forward_image` plus a separate epilogue pass:
+/// quantization is elementwise and pads with `quantize_one(0.0) == 0`,
 /// integer accumulation per output element is exact and complete per tile,
 /// and the epilogue is elementwise.
 fn conv_image_planned(
@@ -779,18 +774,23 @@ fn conv_image_planned(
     let patches = oh * ow;
     let kk = geom.gemm_k();
     let tile = conv_tile_patches(kk);
-    scratch.cols.resize(tile.min(patches.max(1)) * kk, 0.0);
+    let d = image.dims();
+    let ConvScratch {
+        codes,
+        tile: tile_codes,
+    } = scratch;
+    act.quantize_into(image.as_slice(), codes);
+    tile_codes.resize(tile.min(patches.max(1)) * kk, 0);
     let mut ops = OpCounts::default();
     for g in 0..geom.groups {
         let mut p0 = 0;
         while p0 < patches {
             let count = tile.min(patches - p0);
-            let tile_cols = &mut scratch.cols[..count * kk];
-            im2col_patches_into(image, geom, g, p0, count, tile_cols);
-            act.quantize_into(tile_cols, &mut scratch.quantized);
+            let tile_codes = &mut tile_codes[..count * kk];
+            im2col_patches_slice_into(codes, [d[0], d[1], d[2]], geom, g, p0, count, tile_codes);
             ops = ops.merge(if geom.groups == 1 {
                 plan.matmul_patches_into(
-                    &scratch.quantized,
+                    tile_codes,
                     count,
                     act,
                     out.as_mut_slice(),
@@ -801,7 +801,7 @@ fn conv_image_planned(
             } else {
                 plan.row_matmul_patches_into(
                     g,
-                    &scratch.quantized,
+                    tile_codes,
                     count,
                     act,
                     &mut out.as_mut_slice()[g * patches + p0..g * patches + p0 + count],
@@ -812,6 +812,21 @@ fn conv_image_planned(
         }
     }
     ops
+}
+
+/// One input read flat (any shape with `cols` elements) through a planned
+/// GEMM: quantized once into activation codes and reduced as a single
+/// patch, with `epilogue`'s post-ops applied in the write-back.
+fn gemm_planned(
+    plan: &GemmPlan,
+    act: &ActQuantizer,
+    input: &Tensor,
+    out: &mut Tensor,
+    scratch: &mut ConvScratch,
+    epilogue: Option<&Epilogue>,
+) -> OpCounts {
+    act.quantize_into(input.as_slice(), &mut scratch.codes);
+    plan.matmul_patches_into(&scratch.codes, 1, act, out.as_mut_slice(), 1, 0, epilogue)
 }
 
 /// One image through every plan step: load the input buffer, execute steps
@@ -859,14 +874,7 @@ fn run_plan_single(
             StepOp::Gemm { layer } => {
                 let gemm = gemm_plans[layer].expect("compiled before fan-out");
                 let (src, dst) = arena.src_dst(step.srcs[0], step.dst, &step.dims);
-                act.quantize_into(src.as_slice(), &mut scratch.quantized);
-                ops = ops.merge(gemm.matmul_into(
-                    &scratch.quantized,
-                    1,
-                    act,
-                    dst.as_mut_slice(),
-                    &mut scratch.transposed,
-                ));
+                ops = ops.merge(gemm_planned(gemm, act, src, dst, scratch, None));
             }
             StepOp::Pool(kind) => {
                 let (src, dst) = arena.src_dst(step.srcs[0], step.dst, &step.dims);
@@ -913,16 +921,7 @@ fn run_plan_single(
                 // epilogue is fused into the write-back.
                 let gemm = gemm_plans[layer].expect("compiled before fan-out");
                 let (src, dst) = arena.src_dst(step.srcs[0], step.dst, &step.dims);
-                act.quantize_into(src.as_slice(), &mut scratch.quantized);
-                ops = ops.merge(gemm.matmul_patches_into(
-                    &scratch.quantized,
-                    1,
-                    act,
-                    dst.as_mut_slice(),
-                    1,
-                    0,
-                    Some(&epilogue),
-                ));
+                ops = ops.merge(gemm_planned(gemm, act, src, dst, scratch, Some(&epilogue)));
             }
         }
         if let (Some(clock), Some(t0)) = (clock.as_deref_mut(), t0) {
@@ -1050,6 +1049,22 @@ mod tests {
         assert!(matches!(
             engine.forward_matrix_batch(&qm, &act, &[Tensor::zeros(&[7])]),
             Err(QuantError::ShapeMismatch { .. })
+        ));
+        // A struct-literal quantizer past 16 bits fails typed before
+        // fan-out on both entry points, not by a shift panic in a worker.
+        let wide = ActQuantizer {
+            bits: 32,
+            clip: 1.0,
+        };
+        let w = Tensor::randn(&[4, 27], &mut rng);
+        let conv32 = QuantizedConv::new(*conv.geometry(), &w, &MsqPolicy::msq_half(), wide);
+        assert!(matches!(
+            engine.forward_conv_batch(&conv32, &[Tensor::zeros(&[3, 5, 5])]),
+            Err(QuantError::ActQuantizer { bits: 32, .. })
+        ));
+        assert!(matches!(
+            engine.forward_matrix_batch(&qm, &wide, &[Tensor::zeros(&[8])]),
+            Err(QuantError::ActQuantizer { bits: 32, .. })
         ));
     }
 

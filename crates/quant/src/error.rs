@@ -53,6 +53,18 @@ pub enum QuantError {
     },
     /// A packed weight stream failed to decode.
     Unpack(UnpackError),
+    /// An activation quantizer the integer engine cannot run: `bits`
+    /// outside `2..=16` or a `clip` that is not finite and positive.
+    /// [`ActQuantizer::new`](crate::integer::ActQuantizer::new) asserts
+    /// this, but its fields are public, so
+    /// [`GemmPlan::check_act`](crate::integer::GemmPlan::check_act) checks
+    /// it again before any engine fan-out.
+    ActQuantizer {
+        /// Offending activation bit-width.
+        bits: u32,
+        /// Offending clip threshold.
+        clip: f32,
+    },
     /// Executing a compiled GEMM plan could overflow its integer
     /// accumulator: the static worst-case bound `Σ|numerator| × max_level`
     /// derived at plan build exceeds what the accumulator holds. Raised at
@@ -110,6 +122,10 @@ impl fmt::Display for QuantError {
                 write!(f, "compiled-model artifact corrupt: {context}")
             }
             QuantError::Unpack(e) => write!(f, "packed stream corrupt: {e}"),
+            QuantError::ActQuantizer { bits, clip } => write!(
+                f,
+                "activation quantizer out of range: {bits} bits (need 2..=16), clip {clip} (need finite, > 0)"
+            ),
             QuantError::Overflow(o) => write!(
                 f,
                 "integer accumulator overflow: row {} worst-case |acc| {} exceeds {}",

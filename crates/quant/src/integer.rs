@@ -67,8 +67,9 @@ impl ActQuantizer {
         xs.iter().map(|&x| self.quantize_one(x)).collect()
     }
 
-    /// Quantizes into a reusable buffer (cleared first) — the
-    /// allocation-free path batched-inference workers use per image.
+    /// Quantizes into a reusable code buffer (cleared first) — the
+    /// allocation-free path batched-inference workers take once per GEMM
+    /// input (a conv's whole input map, or a dense layer's vector).
     pub fn quantize_into(&self, xs: &[f32], out: &mut Vec<u32>) {
         out.clear();
         out.extend(xs.iter().map(|&x| self.quantize_one(x)));
@@ -691,8 +692,17 @@ impl GemmPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`QuantError::Overflow`] naming the first offending row.
+    /// Returns [`QuantError::ActQuantizer`] when `act.bits` is outside
+    /// `2..=16` or `act.clip` is not finite and positive — checked first,
+    /// so `levels()` never shifts past its width — and
+    /// [`QuantError::Overflow`] naming the first row whose bound fails.
     pub fn check_act(&self, act: &ActQuantizer) -> Result<(), QuantError> {
+        if !((2..=16).contains(&act.bits) && act.clip.is_finite() && act.clip > 0.0) {
+            return Err(QuantError::ActQuantizer {
+                bits: act.bits,
+                clip: act.clip,
+            });
+        }
         let limit = i64::MAX as u128;
         for (r, row) in self.rows.iter().enumerate() {
             let bound = row.sum_abs * act.levels() as u128;
@@ -1328,6 +1338,37 @@ mod tests {
         let qm4 = QuantizedMatrix::from_float(&w, &MsqPolicy::msq_half());
         let plan4 = qm4.try_plan().unwrap();
         plan4.check_act(&ActQuantizer::new(16, 1.0)).unwrap();
+    }
+
+    #[test]
+    fn check_act_rejects_out_of_range_quantizers_typed() {
+        // The fields are public, so a struct literal bypasses `new`'s
+        // assert. At 32+ bits `levels()` would shift past `u32` (a debug
+        // panic; zero levels and all-zero activations in release), so each
+        // out-of-range quantizer must fail typed before any level is
+        // computed.
+        let mut rng = TensorRng::seed_from(36);
+        let w = Tensor::randn(&[3, 10], &mut rng);
+        let plan = QuantizedMatrix::from_float(&w, &MsqPolicy::msq_half()).plan();
+        for (bits, clip) in [
+            (32, 1.0),
+            (40, 1.0),
+            (17, 1.0),
+            (1, 1.0),
+            (0, 1.0),
+            (8, 0.0),
+            (8, -1.0),
+            (8, f32::NAN),
+            (8, f32::INFINITY),
+        ] {
+            match plan.check_act(&ActQuantizer { bits, clip }) {
+                Err(QuantError::ActQuantizer { bits: b, .. }) => assert_eq!(b, bits),
+                other => panic!("{bits} bits, clip {clip}: expected typed error, got {other:?}"),
+            }
+        }
+        for bits in [2, 16] {
+            plan.check_act(&ActQuantizer { bits, clip: 1.0 }).unwrap();
+        }
     }
 
     #[test]

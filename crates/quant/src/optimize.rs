@@ -74,8 +74,8 @@ pub const ALL_PASSES: [OptPass; 4] = [
     OptPass::RepackArena,
 ];
 
-/// Plan measurements after one pass — what the `throughput` bench reports
-/// per pass into `BENCH_throughput.json`.
+/// Plan measurements after one pass, as [`optimize_with_stats`] reports
+/// them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PassStats {
     /// [`OptPass::name`] of the pass that just ran.

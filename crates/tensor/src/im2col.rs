@@ -162,11 +162,11 @@ pub fn im2col_into(input: &Tensor, geom: &ConvGeometry, group: usize, dst: &mut 
 /// one contiguous K-long reduction per patch, with the same k-index order
 /// (`c·k² + ky·k + kx`) as the row-major form.
 ///
-/// This is the cache-tiling building block: the batched engine produces a
-/// small patch tile, quantizes it, and runs the integer GEMM over it while
-/// everything still sits in L1/L2, instead of materializing the whole
-/// `[K, out_h·out_w]` matrix per image. Laying each patch out contiguously
-/// also lets the GEMM reduce over `K` without a transposed scratch copy.
+/// This is the cache-tiling building block: laying each patch out
+/// contiguously lets the GEMM reduce over `K` without a transposed scratch
+/// copy, and a small tile stays in L1/L2 between im2col and GEMM. The
+/// batched engine runs the element-generic core,
+/// [`im2col_patches_slice_into`], on integer activation codes.
 ///
 /// # Panics
 ///
@@ -181,7 +181,37 @@ pub fn im2col_patches_into(
     dst: &mut [f32],
 ) {
     assert_eq!(input.shape().rank(), 3, "im2col expects [c, h, w] input");
-    let (c, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2]);
+    let d = input.dims();
+    im2col_patches_slice_into(
+        input.as_slice(),
+        [d[0], d[1], d[2]],
+        geom,
+        group,
+        p0,
+        count,
+        dst,
+    );
+}
+
+/// Element-generic core of [`im2col_patches_into`] over a flat `[c, h, w]`
+/// map `src` of any element type: padding positions read `T::default()`
+/// (zero for `f32` and for integer codes).
+///
+/// # Panics
+///
+/// Panics when `src` does not hold `c·h·w` elements, channels disagree
+/// with `geom`, the patch range exceeds `out_h·out_w`, or `dst` is shorter
+/// than `count·K`.
+pub fn im2col_patches_slice_into<T: Copy + Default>(
+    src: &[T],
+    [c, h, w]: [usize; 3],
+    geom: &ConvGeometry,
+    group: usize,
+    p0: usize,
+    count: usize,
+    dst: &mut [T],
+) {
+    assert_eq!(src.len(), c * h * w, "im2col source length mismatch");
     assert_eq!(c, geom.in_channels, "channel count mismatch");
     assert!(group < geom.groups, "group index out of range");
     let cg = geom.in_channels / geom.groups;
@@ -198,8 +228,7 @@ pub fn im2col_patches_into(
     );
     assert!(dst.len() >= count * kk, "im2col tile destination too short");
     let tile = &mut dst[..count * kk];
-    tile.fill(0.0);
-    let src = input.as_slice();
+    tile.fill(T::default());
     for p in 0..count {
         let (oy, ox) = ((p0 + p) / out_w, (p0 + p) % out_w);
         let patch = &mut tile[p * kk..(p + 1) * kk];
@@ -359,13 +388,22 @@ mod tests {
                 groups,
             };
             let x = Tensor::randn(&[ch, h, h], &mut rng);
+            // An integer code map and its f32 twin: codes 1..=len are
+            // distinct and non-zero, so the generic core must gather every
+            // code to where the f32 path puts its value, and pad with code
+            // 0 where the f32 path pads with 0.0.
+            let codes: Vec<u32> = (1..=x.len() as u32).collect();
+            let twin =
+                Tensor::from_vec(codes.iter().map(|&c| c as f32).collect(), x.dims()).unwrap();
             let patches = g.output_size(h) * g.output_size(h);
             let kk = g.gemm_k();
             for group in 0..groups {
                 let cols = im2col(&x, &g, group);
+                let twin_cols = im2col(&twin, &g, group);
                 // Walk the patch space in uneven tiles, including a 1-patch
                 // tile, and compare each element against the row-major form.
                 let mut tile = vec![f32::NAN; 3 * kk];
+                let mut code_tile = vec![u32::MAX; 3 * kk];
                 let mut p0 = 0;
                 for &count in [1usize, 3, 2, patches].iter() {
                     let count = count.min(patches - p0);
@@ -373,13 +411,29 @@ mod tests {
                         break;
                     }
                     tile.resize(count * kk, f32::NAN);
+                    code_tile.resize(count * kk, u32::MAX);
                     im2col_patches_into(&x, &g, group, p0, count, &mut tile);
+                    im2col_patches_slice_into(
+                        &codes,
+                        [ch, h, h],
+                        &g,
+                        group,
+                        p0,
+                        count,
+                        &mut code_tile,
+                    );
                     for p in 0..count {
                         for ki in 0..kk {
                             assert_eq!(
                                 tile[p * kk + ki],
                                 cols.at(&[ki, p0 + p]),
                                 "group {group} patch {} k {ki}",
+                                p0 + p
+                            );
+                            assert_eq!(
+                                code_tile[p * kk + ki] as f32,
+                                twin_cols.at(&[ki, p0 + p]),
+                                "code: group {group} patch {} k {ki}",
                                 p0 + p
                             );
                         }

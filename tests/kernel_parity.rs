@@ -152,31 +152,37 @@ fn engine_conv_parity_with_nan_inf_images_at_1_2_host_threads() {
     for geom in [
         ConvGeometry::new(3, 8, 3, 1, 1),
         ConvGeometry::new(2, 5, 3, 2, 0),
+        ConvGeometry::new(3, 4, 3, 2, 1),
+        ConvGeometry::new(4, 6, 1, 1, 0),
         ConvGeometry::depthwise(4, 3, 1, 1),
     ] {
         let w = Tensor::randn(&[geom.out_channels, geom.gemm_k()], &mut rng);
-        let act = ActQuantizer::new(4, 1.2);
-        let conv = if geom.groups == 1 {
-            QuantizedConv::new(geom, &w, &MsqPolicy::msq_optimal(), act)
-        } else {
-            QuantizedConv::depthwise(geom, &w, &MsqPolicy::single(Scheme::Sp2, 4), act)
-        };
-        let images: Vec<Tensor> = (0..6)
-            .map(|_| {
-                let vals = adversarial_activations(&mut rng, geom.in_channels * 49, 1.2);
-                Tensor::from_vec(vals, &[geom.in_channels, 7, 7]).unwrap()
-            })
-            .collect();
-        for threads in [1, 2, host_threads()] {
-            let engine = BatchEngine::with_threads(threads);
-            let run = engine.forward_conv_batch(&conv, &images).expect("batch");
-            for (img, out) in images.iter().zip(&run.outputs) {
-                assert_eq!(
-                    out.as_slice(),
-                    conv.forward_image(img).as_slice(),
-                    "threads {threads}, groups {}",
-                    geom.groups
-                );
+        // The engine's activation codes at 4, 8, 15 (the 16-lane madd
+        // kernel's ceiling) and 16 bits (the 8-lane i32 kernel).
+        for bits in [4u32, 8, 15, 16] {
+            let act = ActQuantizer::new(bits, 1.2);
+            let conv = if geom.groups == 1 {
+                QuantizedConv::new(geom, &w, &MsqPolicy::msq_optimal(), act)
+            } else {
+                QuantizedConv::depthwise(geom, &w, &MsqPolicy::single(Scheme::Sp2, 4), act)
+            };
+            let images: Vec<Tensor> = (0..6)
+                .map(|_| {
+                    let vals = adversarial_activations(&mut rng, geom.in_channels * 49, 1.2);
+                    Tensor::from_vec(vals, &[geom.in_channels, 7, 7]).unwrap()
+                })
+                .collect();
+            for threads in [1, 2, host_threads()] {
+                let engine = BatchEngine::with_threads(threads);
+                let run = engine.forward_conv_batch(&conv, &images).expect("batch");
+                for (img, out) in images.iter().zip(&run.outputs) {
+                    assert_eq!(
+                        out.as_slice(),
+                        conv.forward_image(img).as_slice(),
+                        "threads {threads}, groups {}, act bits {bits}",
+                        geom.groups
+                    );
+                }
             }
         }
     }
