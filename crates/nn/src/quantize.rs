@@ -151,7 +151,7 @@ pub trait QuantizableModel {
     }
 
     /// Lowers the model into the dataflow graph the compiled integer
-    /// [`ExecutionPlan`] is built from (see [`crate::lower`]): a
+    /// `ExecutionPlan` is built from (see [`crate::lower`]): a
     /// topologically-ordered step list covering convolutions, GEMMs,
     /// pooling, residual adds, activations, flatten and requantization.
     /// `None` for models the plan compiler cannot express (the token-driven

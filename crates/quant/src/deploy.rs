@@ -160,10 +160,10 @@ impl QuantizedConv {
         self.matrix.pack()
     }
 
-    /// Compiles this layer's batched [`GemmPlan`] and statically proves its
-    /// accumulator bound against the layer's own activation quantizer — the
-    /// one-call path from a deployed conv to an executable, overflow-checked
-    /// kernel plan.
+    /// Compiles this layer's batched [`GemmPlan`](crate::integer::GemmPlan)
+    /// and statically proves its accumulator bound against the layer's own
+    /// activation quantizer — the one-call path from a deployed conv to an
+    /// executable, overflow-checked kernel plan.
     ///
     /// # Errors
     ///

@@ -6,7 +6,7 @@
 //! default, or a private one via [`BatchEngine::with_threads`] — workers
 //! are spawned once and reused for every batch, with no per-call thread
 //! spawning and no hard-coded thread clamp), compiles each
-//! layer's [`GemmPlan`](crate::integer::GemmPlan) once per loaded model, on
+//! layer's [`GemmPlan`] once per loaded model, on
 //! first use, so the inner loops run on flat integer numerators instead of
 //! re-matching [`WeightCode`](crate::codes::WeightCode) enums per element,
 //! and keeps per-worker activation-code scratch (each GEMM input quantized

@@ -1,9 +1,10 @@
 //! Compiled graph IR: [`ExecutionPlan`] — the single lowered artifact the
 //! batched engine, the cycle simulator and the export format all consume.
 //!
-//! [`QuantizableModel::lower`] describes a network as an SSA dataflow graph
-//! ([`LoweredGraph`]); this module compiles that graph **once** against the
-//! quantized layer descriptors and a concrete input shape:
+//! [`QuantizableModel::lower`](mixmatch_nn::quantize::QuantizableModel::lower)
+//! describes a network as an SSA dataflow graph ([`LoweredGraph`]); this
+//! module compiles that graph **once** against the quantized layer
+//! descriptors and a concrete input shape:
 //!
 //! * every intermediate shape is inferred at compile time (a forward pass
 //!   does zero shape inference),

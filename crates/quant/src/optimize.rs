@@ -20,24 +20,22 @@
 //!    its source flat), plus identity reshapes.
 //! 3. **[`OptPass::EliminateDeadValues`]** — drops steps whose results
 //!    never reach the plan output, then renumbers SSA values densely.
-//! 4. **[`OptPass::RepackArena`]** — re-runs liveness-driven greedy buffer
-//!    assignment over the rewritten step list, shrinking the arena
-//!    high-water mark the shorter plan actually needs.
 //!
 //! Every pass transforms the plan at the SSA-value level and then
-//! re-allocates buffers with the exact allocator `compile` uses, so each
-//! pass *individually* yields a plan that is `verify`-clean and produces
-//! bit-identical logits (the epilogue kernels share their arithmetic with
-//! the standalone step kernels — see [`crate::graph::apply_epilogue`]).
-//! `tests/plan_optimize.rs` pins both properties per pass and for the full
-//! pipeline.
+//! re-allocates buffers with the exact liveness-driven greedy allocator
+//! `compile` uses, so the arena always fits the rewritten step list and no
+//! separate repacking pass is needed. Each pass *individually* yields a
+//! plan that is `verify`-clean and produces bit-identical logits (the
+//! epilogue kernels share their arithmetic with the standalone step
+//! kernels — see [`crate::graph::apply_epilogue`]). `tests/plan_optimize.rs`
+//! pins both properties per pass and for the full pipeline.
 
 use crate::graph::{Epilogue, ExecutionPlan, PlanStep, PostOp, StepOp};
 use crate::verify::PlanParts;
 
 /// One optimizer pass. Passes are independent: each maps a valid plan to a
 /// valid plan, in any order — [`optimize`] runs them in the canonical
-/// fuse → copy-elim → DVE → repack order.
+/// fuse → copy-elim → DVE order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OptPass {
     /// Fuse elementwise `Activation`/`Requantize` consumers into their
@@ -49,9 +47,6 @@ pub enum OptPass {
     /// Drop steps whose results never reach the output; renumber values
     /// densely.
     EliminateDeadValues,
-    /// Re-run greedy liveness-driven buffer assignment to shrink the
-    /// arena.
-    RepackArena,
 }
 
 impl OptPass {
@@ -61,17 +56,15 @@ impl OptPass {
             OptPass::FuseEpilogues => "fuse-epilogues",
             OptPass::EliminateCopies => "eliminate-copies",
             OptPass::EliminateDeadValues => "eliminate-dead-values",
-            OptPass::RepackArena => "repack-arena",
         }
     }
 }
 
 /// The canonical full pipeline, in application order.
-pub const ALL_PASSES: [OptPass; 4] = [
+pub const ALL_PASSES: [OptPass; 3] = [
     OptPass::FuseEpilogues,
     OptPass::EliminateCopies,
     OptPass::EliminateDeadValues,
-    OptPass::RepackArena,
 ];
 
 /// Plan measurements after one pass, as [`optimize_with_stats`] reports
@@ -141,7 +134,6 @@ pub fn run_pass_parts(parts: PlanParts<'_>, pass: OptPass) -> Result<ExecutionPl
         OptPass::FuseEpilogues => fuse_epilogues(&mut plan),
         OptPass::EliminateCopies => eliminate_copies(&mut plan),
         OptPass::EliminateDeadValues => eliminate_dead_values(&mut plan),
-        OptPass::RepackArena => {} // allocation below *is* the pass
     }
     plan.allocate()
 }

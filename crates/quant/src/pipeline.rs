@@ -20,7 +20,7 @@
 //! every stage consumes and returns the builder, and the terminal
 //! `quantize*` calls consume it into a [`CompiledModel`] artifact (the
 //! [`QuantizedModel`] plus the compiled
-//! [`ExecutionPlan`](crate::graph::ExecutionPlan) lowered from it) — there
+//! [`ExecutionPlan`] lowered from it) — there
 //! is no orderable-but-invalid call sequence to misuse.
 //!
 //! The hardware side stays decoupled through the [`HardwareTarget`] trait:

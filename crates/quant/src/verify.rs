@@ -34,7 +34,8 @@
 //! than a bool, so violations compose into one [`VerifyReport`].
 //!
 //! The verifier runs at every trust boundary: `import_compiled` refuses
-//! artifacts whose plans do not verify ([`QuantError::Verify`]),
+//! artifacts whose plans do not verify
+//! ([`QuantError::Verify`](crate::error::QuantError::Verify)),
 //! `mixmatch-serve` refuses them at model load, `BatchEngine::run_plan`
 //! re-checks structural invariants under `debug_assertions`, and the
 //! `mmcheck` bin lints artifacts from the command line.

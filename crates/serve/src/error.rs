@@ -53,8 +53,9 @@ pub enum ServeError {
         /// The remote error's display form.
         detail: String,
     },
-    /// Every fleet replica is evicted or refused the request — the router
-    /// has no placement for this model right now.
+    /// Every fleet replica is evicted or refused the request, not all of
+    /// them for backpressure — the fleet has no placement for this model
+    /// right now.
     NoReplica {
         /// The model the fleet could not place.
         model: String,

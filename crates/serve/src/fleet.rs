@@ -1,29 +1,30 @@
 //! [`FleetServer`]: N serving replicas over heterogeneous simulated FPGA
-//! devices, behind one cost-and-load-aware router.
+//! devices, with one queue per replica; requests are placed in the
+//! caller's thread.
 //!
 //! ```text
-//! callers ── infer(name, image) ──▶ fleet queue ──▶ fleet batcher
-//!    ▲                                               │ drain ≤ max_batch
-//!    │                                               │ group by model
-//!    │                                               ▼
-//!    │                       router::place(cost_us × queue_depth, batch)
-//!    │                        │ probe?         │ best healthy    │ failover
-//!    │                        ▼                ▼                 ▼
-//!    │                   replica 0        replica 1   …     replica N-1
-//!    │                  (ModelServer     (ModelServer       (evicted —
-//!    │                   on 7Z045)        on ZU5CG)          skipped)
-//!    └──── FleetPending::wait ◀─ per-replica dynamic batcher + engine
+//! callers ── infer(name, image), placed in the calling thread:
+//!    ▲         one request probes a due evicted replica; the rest go by
+//!    │         router::place(cost_us × (queue_depth + 1)) over the
+//!    │         healthy replicas, failing over down the ranking
+//!    │            │ probe?           │ best healthy     │ failover
+//!    │            ▼                  ▼                  ▼
+//!    │       replica 0          replica 1     …    replica N-1
+//!    │      (ModelServer       (ModelServer        (evicted —
+//!    │       on 7Z045)          on ZU5CG)           skipped)
+//!    └──── FleetPending::wait ◀─ the replica's own queue, batcher + engine
 //! ```
 //!
 //! Each replica is a full [`ModelServer`] bound to its own
 //! [`HardwareTarget`] (a device from the `FpgaDevice` catalog, typically):
 //! the target prices the served plan through the cycle simulator once per
-//! load, and the router places every *coalesced batch* on the replica with
-//! the lowest estimated completion time — predicted per-image device
-//! latency times (live queue depth + batch size). Both the router and each
-//! replica drain their queues without a timer ([`crate::batcher`]), so a
-//! lone request is placed and executed at once. Replica failures trip a
-//! per-replica circuit breaker ([`crate::health`]): consecutive failures
+//! load, and [`FleetServer::infer`] hands each request straight to the
+//! replica with the lowest estimated completion time — predicted
+//! per-image device latency times (live queue depth + 1). The replica's
+//! queue is the only one a request waits in, and its batcher drains it
+//! without a timer ([`crate::batcher`]), so a lone request executes at
+//! once while concurrent ones still batch together. Replica failures trip
+//! a per-replica circuit breaker ([`crate::health`]): consecutive failures
 //! evict, a timed half-open probe re-admits. Loading an artifact imports
 //! it once and rolls the same `Arc<CompiledModel>` across the fleet
 //! replica by replica, so the fleet compiles each model once; in-flight
@@ -31,7 +32,6 @@
 //! replica's swap lands on its next batch boundary), so a fleet-wide
 //! hot-swap drops nothing.
 
-use crate::batcher::coalesce;
 use crate::error::ServeError;
 use crate::health::{Health, HealthPolicy, HealthSnapshot};
 use crate::metrics::ModelStats;
@@ -40,10 +40,9 @@ use crate::server::{ModelServer, Pending, ServeConfig};
 use mixmatch_quant::export::import_compiled;
 use mixmatch_quant::pipeline::HardwareTarget;
 use mixmatch_tensor::Tensor;
-use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 /// Per-image cost assumed for a replica whose target cannot price the
@@ -73,10 +72,6 @@ impl ReplicaSpec {
 /// replica queue depth, worker threads) ride in [`FleetConfig::replica`].
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Largest coalesced batch the router places at once (≥ 1).
-    pub max_batch: usize,
-    /// Bounded fleet admission-queue depth.
-    pub queue_depth: usize,
     /// Knobs for each replica's own [`ModelServer`].
     pub replica: ServeConfig,
     /// Eviction/re-admission policy for every replica.
@@ -89,8 +84,6 @@ pub struct FleetConfig {
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
-            max_batch: 32,
-            queue_depth: 1024,
             replica: ServeConfig::default(),
             health: HealthPolicy::default(),
             reply_timeout: Duration::from_secs(30),
@@ -99,18 +92,6 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// Sets the router's largest coalesced batch (clamped to ≥ 1).
-    pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        self.max_batch = max_batch.max(1);
-        self
-    }
-
-    /// Sets the bounded fleet admission-queue depth (clamped to ≥ 1).
-    pub fn with_queue_depth(mut self, queue_depth: usize) -> Self {
-        self.queue_depth = queue_depth.max(1);
-        self
-    }
-
     /// Sets every replica's [`ModelServer`] knobs.
     pub fn with_replica_config(mut self, replica: ServeConfig) -> Self {
         self.replica = replica;
@@ -131,11 +112,13 @@ impl FleetConfig {
 }
 
 /// One enrolled replica: its server, its pricing target, its breaker.
-pub(crate) struct Replica {
+struct Replica {
     label: String,
     target: Box<dyn HardwareTarget>,
     server: ModelServer,
-    health: Health,
+    /// Shared with every [`FleetPending`] placed here, which reports its
+    /// outcome to it.
+    health: Arc<Health>,
     /// Model name → predicted µs per image on this replica's device,
     /// refreshed at every (re)load.
     costs: RwLock<HashMap<String, f64>>,
@@ -152,31 +135,13 @@ impl Replica {
     }
 }
 
-/// One queued fleet request, waiting for the router.
-struct FleetRequest {
-    model: String,
-    image: Tensor,
-    /// When the fleet admitted the request; admission → replica handoff is
-    /// the `route` lifecycle stage.
-    admitted: Instant,
-    reply: mpsc::Sender<RoutedReply>,
-}
-
-/// What the router sends back through the caller's channel: either the
-/// replica-level [`Pending`] to join, or a terminal placement failure.
-enum RoutedReply {
-    Routed {
-        replica: Arc<Replica>,
-        pending: Pending,
-    },
-    Failed(ServeError),
-}
-
-/// Handle to one in-flight fleet request. Joining it also reports the
-/// outcome to the serving replica's health cell.
+/// Handle to one in-flight fleet request: the admitting replica's
+/// [`Pending`]. Joining it also reports the outcome to that replica's
+/// health cell.
 #[derive(Debug)]
 pub struct FleetPending {
-    rx: mpsc::Receiver<RoutedReply>,
+    health: Arc<Health>,
+    pending: Pending,
 }
 
 impl FleetPending {
@@ -184,51 +149,30 @@ impl FleetPending {
     ///
     /// # Errors
     ///
-    /// Everything [`Pending::wait`] returns, plus
-    /// [`ServeError::NoReplica`] when no replica could take the request.
+    /// Exactly what [`Pending::wait`] returns.
     pub fn wait(self) -> Result<Tensor, ServeError> {
-        match self.rx.recv() {
-            Err(_) => Err(ServeError::Dropped),
-            Ok(RoutedReply::Failed(e)) => Err(e),
-            Ok(RoutedReply::Routed { replica, pending }) => settle(&replica, pending.wait()),
-        }
+        settle(&self.health, self.pending.wait())
     }
 
-    /// Blocks until the response arrives or `timeout` elapses — the
-    /// deadline spans routing *and* the replica's reply, so a replica
-    /// dying mid-batch cannot park the caller forever.
+    /// Blocks until the response arrives or `timeout` elapses, so a
+    /// replica dying mid-batch cannot park the caller forever.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Timeout`] when the deadline passes first, plus
-    /// everything [`FleetPending::wait`] can return.
+    /// Exactly what [`Pending::wait_timeout`] returns.
     pub fn wait_timeout(self, timeout: Duration) -> Result<Tensor, ServeError> {
-        let start = Instant::now();
-        let routed = match self.rx.recv_timeout(timeout) {
-            Ok(routed) => routed,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                return Err(ServeError::Timeout { waited: timeout })
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return Err(ServeError::Dropped),
-        };
-        match routed {
-            RoutedReply::Failed(e) => Err(e),
-            RoutedReply::Routed { replica, pending } => {
-                let remaining = timeout.saturating_sub(start.elapsed());
-                settle(&replica, pending.wait_timeout(remaining))
-            }
-        }
+        settle(&self.health, self.pending.wait_timeout(timeout))
     }
 }
 
 /// Reports a joined result to the replica's breaker. Only replica faults
 /// count against health — a caller's own bad payload
 /// ([`ServeError::Inference`]) is not the replica's fault.
-fn settle(replica: &Replica, result: Result<Tensor, ServeError>) -> Result<Tensor, ServeError> {
+fn settle(health: &Health, result: Result<Tensor, ServeError>) -> Result<Tensor, ServeError> {
     match &result {
-        Ok(_) => replica.health.record_success(),
+        Ok(_) => health.record_success(),
         Err(ServeError::Dropped) | Err(ServeError::Timeout { .. }) => {
-            replica.health.record_failure();
+            health.record_failure();
         }
         Err(_) => {}
     }
@@ -271,47 +215,30 @@ pub struct FleetStats {
 /// Multi-replica serving fleet. See the module docs for the dataflow.
 pub struct FleetServer {
     config: FleetConfig,
-    replicas: Vec<Arc<Replica>>,
-    /// Admission side of the fleet queue; `None` once shutdown started.
-    queue: Mutex<Option<SyncSender<FleetRequest>>>,
-    batcher: Mutex<Option<JoinHandle<()>>>,
+    replicas: Vec<Replica>,
+    /// Set by [`FleetServer::shutdown`]; `infer` refuses from then on.
+    closed: AtomicBool,
 }
 
 impl FleetServer {
-    /// Starts a fleet with one replica per spec (and the fleet's router
-    /// thread). Panics on an empty spec list — a fleet of zero replicas
-    /// can never serve.
+    /// Starts a fleet with one replica per spec. Panics on an empty spec
+    /// list — a fleet of zero replicas can never serve.
     pub fn start(config: FleetConfig, specs: Vec<ReplicaSpec>) -> Self {
         assert!(!specs.is_empty(), "a fleet needs at least one replica");
-        let config = FleetConfig {
-            max_batch: config.max_batch.max(1),
-            queue_depth: config.queue_depth.max(1),
-            ..config
-        };
-        let replicas: Vec<Arc<Replica>> = specs
+        let replicas = specs
             .into_iter()
-            .map(|spec| {
-                Arc::new(Replica {
-                    label: spec.label,
-                    target: spec.target,
-                    server: ModelServer::start(config.replica.clone()),
-                    health: Health::new(config.health.clone()),
-                    costs: RwLock::new(HashMap::new()),
-                })
+            .map(|spec| Replica {
+                label: spec.label,
+                target: spec.target,
+                server: ModelServer::start(config.replica.clone()),
+                health: Arc::new(Health::new(config.health.clone())),
+                costs: RwLock::new(HashMap::new()),
             })
             .collect();
-        let (tx, rx) = mpsc::sync_channel(config.queue_depth);
-        let router_replicas = replicas.clone();
-        let max_batch = config.max_batch;
-        let batcher = std::thread::Builder::new()
-            .name("mixmatch-fleet-router".into())
-            .spawn(move || router_loop(&rx, &router_replicas, max_batch))
-            .expect("spawn fleet router thread");
         FleetServer {
             config,
             replicas,
-            queue: Mutex::new(Some(tx)),
-            batcher: Mutex::new(Some(batcher)),
+            closed: AtomicBool::new(false),
         }
     }
 
@@ -353,38 +280,82 @@ impl FleetServer {
         Ok(())
     }
 
-    /// Submits one image against `model` without blocking on the result.
+    /// Places one image for `model` on a replica, in the calling thread,
+    /// without blocking on the result. At most one request goes to an
+    /// evicted replica whose re-admission probe is due; otherwise the
+    /// healthy replicas are tried in [`router::place`] order, failing over
+    /// on every admission refusal but [`ServeError::UnknownModel`].
+    /// Replica faults count against the replica's breaker; backpressure
+    /// ([`ServeError::Overloaded`]) does not.
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownModel`], [`ServeError::Overloaded`],
-    /// [`ServeError::ShuttingDown`].
+    /// [`ServeError::UnknownModel`] as the first replica tried answers it
+    /// (`load_artifact` registers a name on every replica),
+    /// [`ServeError::ShuttingDown`] after [`FleetServer::shutdown`],
+    /// [`ServeError::Overloaded`] when every replica tried refused for
+    /// backpressure, [`ServeError::NoReplica`] otherwise.
     pub fn infer(&self, model: &str, image: Tensor) -> Result<FleetPending, ServeError> {
-        if !self
+        if self.closed.load(Ordering::Relaxed) {
+            return Err(ServeError::ShuttingDown);
+        }
+        let admitted = Instant::now();
+        // Claiming the probe moves that replica out of the healthy set, so
+        // it is never ranked twice.
+        let probe = self
             .replicas
             .iter()
-            .any(|r| r.server.stats(model).is_some())
-        {
-            return Err(ServeError::UnknownModel {
-                model: model.to_string(),
-            });
-        }
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let request = FleetRequest {
+            .position(|r| r.health.try_begin_probe());
+        let candidates: Vec<router::Candidate> = self
+            .replicas
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.health.is_healthy())
+            .map(|(index, r)| router::Candidate {
+                replica: index,
+                cost_per_image_us: r.cost_us(model),
+                queue_depth: r.server.queue_len(),
+            })
+            .collect();
+        let ranked = router::place(&candidates)
+            .into_iter()
+            .map(|i| candidates[i].replica);
+        let no_replica = || ServeError::NoReplica {
             model: model.to_string(),
-            image,
-            admitted: Instant::now(),
-            reply: reply_tx,
         };
-        let queue = self.queue.lock().expect("fleet queue poisoned");
-        let tx = queue.as_ref().ok_or(ServeError::ShuttingDown)?;
-        match tx.try_send(request) {
-            Ok(()) => Ok(FleetPending { rx: reply_rx }),
-            Err(TrySendError::Full(_)) => Err(ServeError::Overloaded {
-                queue_depth: self.config.queue_depth,
-            }),
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::ShuttingDown),
+        // `Overloaded` only while every refusal so far was backpressure.
+        let mut refusal = None;
+        let mut image = image;
+        for index in probe.into_iter().chain(ranked) {
+            let replica = &self.replicas[index];
+            match replica.server.infer_reclaim(model, image) {
+                Ok(pending) => {
+                    // Fleet admission → replica handoff is the `route`
+                    // stage on the shared Prometheus page.
+                    mixmatch_obs::Registry::global()
+                        .histogram(
+                            crate::metrics::STAGE_METRIC,
+                            &[("model", model), ("stage", "route")],
+                        )
+                        .record(admitted.elapsed());
+                    return Ok(FleetPending {
+                        health: Arc::clone(&replica.health),
+                        pending,
+                    });
+                }
+                Err((error @ ServeError::UnknownModel { .. }, _)) => return Err(error),
+                Err((error, returned)) => {
+                    image = returned;
+                    if matches!(error, ServeError::Overloaded { .. }) {
+                        refusal.get_or_insert(error);
+                    } else {
+                        replica.health.record_failure();
+                        refusal = Some(no_replica());
+                    }
+                }
+            }
         }
+        Err(refusal.unwrap_or_else(no_replica))
     }
 
     /// [`FleetServer::infer`] + [`FleetPending::wait_timeout`] at the
@@ -446,13 +417,10 @@ impl FleetServer {
         }
     }
 
-    /// Stops fleet admission, drains the router and every replica, and
-    /// joins their threads. Idempotent; also runs on drop.
+    /// Stops fleet admission, then drains every replica and joins its
+    /// batcher thread. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
-        drop(self.queue.lock().expect("fleet queue poisoned").take());
-        if let Some(handle) = self.batcher.lock().expect("fleet batcher poisoned").take() {
-            let _ = handle.join();
-        }
+        self.closed.store(true, Ordering::Relaxed);
         for replica in &self.replicas {
             replica.server.shutdown();
         }
@@ -462,127 +430,6 @@ impl FleetServer {
 impl Drop for FleetServer {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// The fleet router thread: block for one request, drain the queued ones
-/// into its batch, place it group-by-group, repeat until shutdown drains
-/// the queue.
-fn router_loop(rx: &Receiver<FleetRequest>, replicas: &[Arc<Replica>], max_batch: usize) {
-    while let Ok(first) = rx.recv() {
-        let batch = coalesce(rx, first, max_batch);
-        // Group by model, preserving arrival order within each group.
-        let mut groups: Vec<(String, Vec<FleetRequest>)> = Vec::new();
-        for request in batch {
-            match groups.iter_mut().find(|(model, _)| *model == request.model) {
-                Some((_, members)) => members.push(request),
-                None => groups.push((request.model.clone(), vec![request])),
-            }
-        }
-        for (model, members) in groups {
-            place_group(replicas, &model, members);
-        }
-    }
-}
-
-/// Places one coalesced model-group: divert at most one request to a
-/// probe-due replica, rank the healthy replicas once for the whole group,
-/// forward down the ranking with per-request failover.
-fn place_group(replicas: &[Arc<Replica>], model: &str, members: Vec<FleetRequest>) {
-    let mut remaining: VecDeque<FleetRequest> = members.into();
-
-    // Half-open re-admission: one request probes an evicted replica whose
-    // cooldown elapsed. A probe that fails at admission rejoins the
-    // regular path (its failure already re-armed the breaker).
-    for replica in replicas {
-        if remaining.is_empty() {
-            break;
-        }
-        if replica.health.try_begin_probe() {
-            if let Some(request) = remaining.pop_front() {
-                if let Err(request) = forward(replica, request) {
-                    remaining.push_front(request);
-                }
-            }
-            break;
-        }
-    }
-
-    // One placement decision per coalesced batch: snapshot cost × load,
-    // rank, then stream the group to the head of the ranking.
-    let candidates: Vec<router::Candidate> = replicas
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.health.is_healthy())
-        .map(|(index, r)| router::Candidate {
-            replica: index,
-            cost_per_image_us: r.cost_us(model),
-            queue_depth: r.server.queue_len(),
-        })
-        .collect();
-    let order: Vec<usize> = router::place(&candidates, remaining.len())
-        .into_iter()
-        .map(|i| candidates[i].replica)
-        .collect();
-
-    'requests: for mut request in remaining {
-        for &index in &order {
-            let replica = &replicas[index];
-            // A replica evicted mid-group (earlier failover) is skipped.
-            if !replica.health.is_healthy() {
-                continue;
-            }
-            match forward(replica, request) {
-                Ok(()) => continue 'requests,
-                Err(returned) => request = returned,
-            }
-        }
-        let _ = request
-            .reply
-            .send(RoutedReply::Failed(ServeError::NoReplica {
-                model: model.to_string(),
-            }));
-    }
-}
-
-/// Forwards one request to one replica. On admission failure the request
-/// comes back for failover; replica faults (shutdown, missing model) count
-/// against its breaker, plain backpressure ([`ServeError::Overloaded`])
-/// does not.
-fn forward(replica: &Arc<Replica>, request: FleetRequest) -> Result<(), FleetRequest> {
-    let FleetRequest {
-        model,
-        image,
-        admitted,
-        reply,
-    } = request;
-    match replica.server.infer_reclaim(&model, image) {
-        Ok(pending) => {
-            // The request is now on a replica: fleet admission → handoff is
-            // the `route` stage on the shared Prometheus page.
-            mixmatch_obs::Registry::global()
-                .histogram(
-                    crate::metrics::STAGE_METRIC,
-                    &[("model", &model), ("stage", "route")],
-                )
-                .record(admitted.elapsed());
-            let _ = reply.send(RoutedReply::Routed {
-                replica: Arc::clone(replica),
-                pending,
-            });
-            Ok(())
-        }
-        Err((error, image)) => {
-            if !matches!(error, ServeError::Overloaded { .. }) {
-                replica.health.record_failure();
-            }
-            Err(FleetRequest {
-                model,
-                image,
-                admitted,
-                reply,
-            })
-        }
     }
 }
 
@@ -741,6 +588,23 @@ mod tests {
         assert_eq!(stats.replicas[1].health.state, HealthState::Healthy);
         let survivor: u64 = stats.replicas[1].models.iter().map(|m| m.completed).sum();
         assert_eq!(survivor, 6);
+    }
+
+    #[test]
+    fn a_request_no_replica_admits_fails_at_admission() {
+        let fleet = two_replica_fleet(FleetConfig::default());
+        fleet
+            .load_artifact("mlp", &mlp_artifact(7))
+            .expect("roll artifact");
+        assert!(fleet.kill_replica(0));
+        assert!(fleet.kill_replica(1));
+        let err = fleet.infer("mlp", Tensor::zeros(&[6])).unwrap_err();
+        assert_eq!(
+            err,
+            ServeError::NoReplica {
+                model: "mlp".into()
+            }
+        );
     }
 
     #[test]

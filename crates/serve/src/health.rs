@@ -80,7 +80,7 @@ struct Inner {
 }
 
 /// One replica's health cell. All transitions run under a single small
-/// mutex — health is consulted once per placed batch, never per image.
+/// mutex, taken a few times per placed request.
 #[derive(Debug)]
 pub struct Health {
     policy: HealthPolicy,

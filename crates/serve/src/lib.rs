@@ -28,12 +28,12 @@
 //!
 //! On top of the single server sits the **fleet layer** ([`fleet`]): N
 //! replicas, each a full [`ModelServer`] bound to its own simulated FPGA
-//! [`HardwareTarget`](mixmatch_quant::pipeline::HardwareTarget), behind a
-//! router that places every coalesced batch by predicted device cost ×
-//! live queue depth ([`router`]), evicts failing replicas through a
-//! per-replica circuit breaker ([`health`]), and speaks a hand-rolled
-//! length-prefixed TCP protocol ([`wire`]) so callers on real sockets get
-//! bit-identical answers and typed errors.
+//! [`HardwareTarget`](mixmatch_quant::pipeline::HardwareTarget), with one
+//! queue per replica; requests are placed in the caller's thread, by
+//! predicted device cost × live queue depth ([`router`]). The fleet evicts
+//! failing replicas through a per-replica circuit breaker ([`health`]) and
+//! speaks a hand-rolled length-prefixed TCP protocol ([`wire`]) so callers
+//! on real sockets get bit-identical answers and typed errors.
 //!
 //! [`CompiledModel`]: mixmatch_quant::pipeline::CompiledModel
 //!

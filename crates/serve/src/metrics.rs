@@ -44,9 +44,9 @@ pub struct ModelMetrics {
     pub batches: AtomicU64,
     /// Images across all dispatched batches (`/ batches` = mean batch).
     pub batched_images: AtomicU64,
-    /// Live gauge: requests admitted but not yet answered. The fleet
-    /// router reads this (via [`ModelStats::queue_depth`]) to place batches
-    /// on the least-loaded replica.
+    /// Live gauge: requests admitted but not yet answered. A fleet reads
+    /// it (summed by [`crate::ModelServer::queue_len`]) to place each
+    /// request; [`ModelStats::queue_depth`] reports it.
     pub in_flight: AtomicU64,
     /// Queue-to-reply latency of completed requests (stage `total`).
     pub latency: Arc<LatencyHistogram>,
@@ -134,8 +134,9 @@ impl ModelMetrics {
 /// Percentile summary of one request-lifecycle stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageStats {
-    /// Stage name: `queue`, `coalesce`, or `execute` (the fleet router
-    /// additionally records `route` directly into the global registry).
+    /// Stage name: `queue`, `coalesce`, or `execute` (a fleet additionally
+    /// records `route`, admission → replica handoff, directly into the
+    /// global registry).
     pub stage: String,
     /// Observations recorded for this stage.
     pub count: u64,

@@ -340,8 +340,8 @@ impl ModelServer {
     }
 
     /// [`ModelServer::infer`] that hands the image back on admission
-    /// failure — what a fleet router needs to re-place a request on
-    /// another replica without cloning every payload up front.
+    /// failure — what a fleet needs to fail a request over to another
+    /// replica without cloning every payload up front.
     ///
     /// # Errors
     ///
@@ -410,8 +410,8 @@ impl ModelServer {
     }
 
     /// Total requests admitted but not yet answered, across every
-    /// registered model — the live load signal a fleet router combines
-    /// with per-device latency predictions.
+    /// registered model — the live load signal a fleet combines with
+    /// per-device latency predictions when it places each request.
     pub fn queue_len(&self) -> u64 {
         self.registry
             .lock()

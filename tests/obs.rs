@@ -246,7 +246,7 @@ fn mlp_artifact() -> Vec<u8> {
 #[test]
 fn metrics_verb_serves_well_formed_prometheus_text() {
     let fleet = Arc::new(FleetServer::start(
-        FleetConfig::default().with_max_batch(4),
+        FleetConfig::default(),
         vec![ReplicaSpec::new("r0", FpgaDevice::XC7Z045)],
     ));
     let wire = WireServer::bind("127.0.0.1:0", Arc::clone(&fleet)).expect("bind wire");

@@ -309,7 +309,6 @@ fn pass_names_are_stable_and_ordered() {
             "fuse-epilogues",
             "eliminate-copies",
             "eliminate-dead-values",
-            "repack-arena",
         ]
     );
     assert_eq!(OptPass::FuseEpilogues.name(), "fuse-epilogues");
