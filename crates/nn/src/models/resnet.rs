@@ -340,13 +340,6 @@ impl QuantizableModel for ResNet {
         self.params()
     }
 
-    fn forward_batch(
-        &mut self,
-        inputs: &[mixmatch_tensor::Tensor],
-    ) -> Option<Vec<mixmatch_tensor::Tensor>> {
-        Some(crate::quantize::layer_forward_batch(self, inputs))
-    }
-
     fn model_params_mut(&mut self) -> Vec<&mut Param> {
         self.params_mut()
     }

@@ -8,9 +8,8 @@
 //! free of any dependency on the quantization crate.
 
 use crate::layers::Conv2d;
-use crate::module::{Layer, Param, Sequential};
+use crate::module::{Param, Sequential};
 use mixmatch_tensor::im2col::ConvGeometry;
-use mixmatch_tensor::Tensor;
 
 /// What kind of GEMM operand a quantizable layer is — determines its
 /// deployment form (plain integer matrix vs im2col-driven convolution).
@@ -101,15 +100,6 @@ pub fn is_quantizable(param: &Param) -> bool {
     is_weight && param.value.shape().rank() == 2 && !name.starts_with("embedding")
 }
 
-/// Inference-mode batched forward for any [`Layer`]-backed model: the float
-/// software twin of the integer engine's batched execution
-/// (`mixmatch_quant::engine::BatchEngine`). Models implementing
-/// [`QuantizableModel`] use this to fulfil
-/// [`QuantizableModel::forward_batch`].
-pub fn layer_forward_batch<M: Layer + ?Sized>(model: &mut M, inputs: &[Tensor]) -> Vec<Tensor> {
-    inputs.iter().map(|x| model.forward(x, false)).collect()
-}
-
 /// Derives descriptors from a flat parameter list (the fallback used by the
 /// trait's default implementation and by [`Sequential`]).
 pub fn descs_from_params(params: &[&Param]) -> Vec<QuantLayerDesc> {
@@ -141,15 +131,6 @@ pub trait QuantizableModel {
         descs_from_params(&self.model_params())
     }
 
-    /// Batched float forward in inference mode — `Some(outputs)` with one
-    /// output per input, or `None` for models without a single-tensor
-    /// forward (the token-driven RNN families). Feed-forward models
-    /// override via [`layer_forward_batch`].
-    fn forward_batch(&mut self, inputs: &[Tensor]) -> Option<Vec<Tensor>> {
-        let _ = inputs;
-        None
-    }
-
     /// Lowers the model into the dataflow graph the compiled integer
     /// `ExecutionPlan` is built from (see [`crate::lower`]): a
     /// topologically-ordered step list covering convolutions, GEMMs,
@@ -169,10 +150,6 @@ impl QuantizableModel for Sequential {
 
     fn model_params_mut(&mut self) -> Vec<&mut Param> {
         crate::module::Layer::params_mut(self)
-    }
-
-    fn forward_batch(&mut self, inputs: &[Tensor]) -> Option<Vec<Tensor>> {
-        Some(layer_forward_batch(self, inputs))
     }
 
     fn lower(&self) -> Option<crate::lower::LoweredGraph> {
@@ -212,22 +189,6 @@ mod tests {
             QuantLayerDesc::for_conv(&dw).kind,
             QuantLayerKind::DepthwiseConv(_)
         ));
-    }
-
-    #[test]
-    fn sequential_forward_batch_matches_per_input_forward() {
-        let mut rng = TensorRng::seed_from(2);
-        let mut net = Sequential::new();
-        net.push(Linear::with_name("a", 4, 6, true, &mut rng));
-        net.push(crate::layers::Relu::new());
-        net.push(Linear::with_name("b", 6, 2, false, &mut rng));
-        let inputs: Vec<Tensor> = (0..3).map(|_| Tensor::randn(&[1, 4], &mut rng)).collect();
-        let batched = QuantizableModel::forward_batch(&mut net, &inputs).expect("feed-forward");
-        assert_eq!(batched.len(), 3);
-        for (x, y) in inputs.iter().zip(&batched) {
-            let single = net.forward(x, false);
-            assert_eq!(y.as_slice(), single.as_slice());
-        }
     }
 
     #[test]

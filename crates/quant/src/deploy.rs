@@ -182,8 +182,9 @@ impl QuantizedConv {
     }
 
     /// Validates that `image` is a rank-3 `[C, H, W]` map with this layer's
-    /// channel count, returning the output spatial edges.
-    pub(crate) fn check_image(&self, image: &Tensor) -> Result<(usize, usize), QuantError> {
+    /// channel count and room for the kernel, returning the output spatial
+    /// edges.
+    fn check_image(&self, image: &Tensor) -> Result<(usize, usize), QuantError> {
         if image.shape().rank() != 3 {
             return Err(QuantError::ShapeMismatch {
                 context: "conv input must be a rank-3 [C, H, W] image".into(),
@@ -199,7 +200,15 @@ impl QuantizedConv {
                 got: image.dims().to_vec(),
             });
         }
-        Ok((self.geom.output_size(h), self.geom.output_size(w)))
+        self.geom
+            .checked_output_size(h)
+            .zip(self.geom.checked_output_size(w))
+            .ok_or_else(|| QuantError::Geometry {
+                context: format!(
+                    "conv input [{c}, {h}, {w}] is smaller than kernel {} (padding {}, stride {})",
+                    self.geom.kernel, self.geom.padding, self.geom.stride
+                ),
+            })
     }
 
     /// Runs one image `[C, H, W]` through the integer datapath, returning
@@ -207,7 +216,8 @@ impl QuantizedConv {
     ///
     /// # Panics
     ///
-    /// Panics on a rank or channel mismatch; the non-panicking path is
+    /// Panics on a rank or channel mismatch or a map smaller than the
+    /// kernel; the non-panicking path is
     /// [`QuantizedConv::try_forward_image`].
     pub fn forward_image(&self, image: &Tensor) -> Tensor {
         self.try_forward_image(image)
@@ -219,7 +229,8 @@ impl QuantizedConv {
     /// # Errors
     ///
     /// [`QuantError::ShapeMismatch`] when `image` is not rank-3 or its
-    /// channel count disagrees with the geometry.
+    /// channel count disagrees with the geometry, [`QuantError::Geometry`]
+    /// when the padded map is smaller than the kernel or the stride is 0.
     pub fn try_forward_image(&self, image: &Tensor) -> Result<Tensor, QuantError> {
         let (oh, ow) = self.check_image(image)?;
         let patches = oh * ow;
@@ -240,21 +251,6 @@ impl QuantizedConv {
             }
         }
         Ok(out)
-    }
-
-    /// Sequential batched forward: `images[i]` → output `i`. This is the
-    /// single-threaded reference the pooled engine
-    /// (`mixmatch_quant::engine::BatchEngine`) is pinned bit-identical to.
-    ///
-    /// # Errors
-    ///
-    /// As [`QuantizedConv::try_forward_image`], for the first offending
-    /// image.
-    pub fn forward_batch(&self, images: &[Tensor]) -> Result<Vec<Tensor>, QuantError> {
-        images
-            .iter()
-            .map(|img| self.try_forward_image(img))
-            .collect()
     }
 }
 
@@ -362,6 +358,18 @@ mod tests {
             conv.try_forward_image(&wrong_c),
             Err(crate::error::QuantError::ShapeMismatch { .. })
         ));
+        // A map smaller than the unpadded kernel likewise.
+        let unpadded = ConvGeometry::new(3, 4, 3, 1, 0);
+        let small = QuantizedConv::new(
+            unpadded,
+            &w,
+            &MsqPolicy::msq_half(),
+            ActQuantizer::new(4, 1.0),
+        );
+        assert!(matches!(
+            small.try_forward_image(&Tensor::zeros(&[3, 2, 2])),
+            Err(crate::error::QuantError::Geometry { .. })
+        ));
         // The panicking wrapper routes through the same validation.
         let good = Tensor::rand_uniform(&[3, 6, 6], 0.0, 1.0, &mut rng);
         assert_eq!(conv.forward_image(&good).dims(), &[4, 6, 6]);
@@ -374,21 +382,6 @@ mod tests {
         let w = Tensor::zeros(&[4, 27]);
         let conv = QuantizedConv::new(geom, &w, &MsqPolicy::msq_half(), ActQuantizer::new(4, 1.0));
         let _ = conv.forward_image(&Tensor::zeros(&[5, 6, 6]));
-    }
-
-    #[test]
-    fn sequential_forward_batch_matches_per_image_calls() {
-        let mut rng = TensorRng::seed_from(8);
-        let geom = ConvGeometry::new(2, 3, 3, 1, 1);
-        let w = Tensor::randn(&[3, 18], &mut rng);
-        let conv = QuantizedConv::new(geom, &w, &MsqPolicy::msq_half(), ActQuantizer::new(4, 1.0));
-        let images: Vec<Tensor> = (0..3)
-            .map(|_| Tensor::rand_uniform(&[2, 5, 5], 0.0, 1.0, &mut rng))
-            .collect();
-        let batch = conv.forward_batch(&images).expect("batch");
-        for (img, out) in images.iter().zip(&batch) {
-            assert_eq!(out.as_slice(), conv.forward_image(img).as_slice());
-        }
     }
 
     #[test]

@@ -14,52 +14,58 @@
 //! allocation-free, with per-call setup amortised across each worker's
 //! share of the batch.
 //!
-//! Outputs are **bit-identical** to the single-image path
-//! ([`QuantizedConv::forward_image`] / [`QuantizedMatrix::matvec`]): integer
-//! accumulation is exact and order-preserving, and the final scaling is the
-//! same `f32` expression. Aggregated [`OpCounts`] match the interpreted
-//! kernels' accounting, so a batch can be handed straight to the cycle
-//! simulator (via [`HardwareTarget::summarize_batch`]) for batched GOPS/fps
-//! next to measured wall-clock throughput.
+//! Every conv and GEMM step is **bit-identical** to the interpreted
+//! single-image kernels ([`QuantizedConv::forward_image`] /
+//! [`QuantizedMatrix::matvec`]) on that step's input: integer accumulation
+//! is exact and order-preserving, and the final scaling is the same `f32`
+//! expression. Aggregated [`OpCounts`] match the interpreted kernels'
+//! accounting, so a batch can be handed straight to the cycle simulator
+//! (via [`HardwareTarget::summarize_batch`]) for batched GOPS/fps next to
+//! measured wall-clock throughput.
 //!
+//! [`QuantizedConv::forward_image`]: crate::deploy::QuantizedConv::forward_image
+//! [`QuantizedMatrix::matvec`]: crate::integer::QuantizedMatrix::matvec
 //! [`HardwareTarget::summarize_batch`]: crate::pipeline::HardwareTarget::summarize_batch
 //!
 //! # Example
 //!
 //! ```
-//! use mixmatch_quant::deploy::QuantizedConv;
+//! use mixmatch_nn::layers::{Linear, Relu};
+//! use mixmatch_nn::module::Sequential;
 //! use mixmatch_quant::engine::BatchEngine;
-//! use mixmatch_quant::integer::ActQuantizer;
 //! use mixmatch_quant::msq::MsqPolicy;
-//! use mixmatch_tensor::im2col::ConvGeometry;
+//! use mixmatch_quant::pipeline::QuantPipeline;
 //! use mixmatch_tensor::{Tensor, TensorRng};
 //!
 //! let mut rng = TensorRng::seed_from(0);
-//! let geom = ConvGeometry::new(3, 8, 3, 1, 1);
-//! let w = Tensor::randn(&[8, 27], &mut rng);
-//! let conv = QuantizedConv::new(geom, &w, &MsqPolicy::msq_half(), ActQuantizer::new(4, 1.0));
+//! let mut model = Sequential::new();
+//! model.push(Linear::with_name("fc1", 8, 16, true, &mut rng));
+//! model.push(Relu::new());
+//! model.push(Linear::with_name("fc2", 16, 4, false, &mut rng));
+//! let compiled = QuantPipeline::from_policy(MsqPolicy::msq_half())
+//!     .with_input_shape(&[8])
+//!     .quantize(&mut model)
+//!     .expect("quantize");
 //! let images: Vec<Tensor> = (0..4)
-//!     .map(|_| Tensor::rand_uniform(&[3, 6, 6], 0.0, 1.0, &mut rng))
+//!     .map(|_| Tensor::rand_uniform(&[8], 0.0, 1.0, &mut rng))
 //!     .collect();
 //! let engine = BatchEngine::with_threads(2);
-//! let run = engine.forward_conv_batch(&conv, &images).expect("batch");
+//! let run = engine.run_plan_batch(&compiled, &images).expect("batch");
 //! assert_eq!(run.outputs.len(), 4);
-//! assert_eq!(run.outputs[0].as_slice(), conv.forward_image(&images[0]).as_slice());
+//! assert_eq!(run.outputs[0].dims(), &[4]);
 //! ```
 
 use crate::codes::OpCounts;
-use crate::deploy::QuantizedConv;
 use crate::error::QuantError;
 use crate::graph::{self, Epilogue, ExecutionPlan, StepOp};
-use crate::integer::{ActQuantizer, GemmPlan, QuantizedMatrix};
+use crate::integer::{ActQuantizer, GemmPlan};
 use crate::pipeline::{CompiledModel, DeployForm, QuantizedLayer, QuantizedModel};
 use crate::profile::{PlanProfile, StepProfile};
-use mixmatch_nn::quantize::QuantLayerKind;
 use mixmatch_tensor::arena::BufferArena;
 use mixmatch_tensor::im2col::{im2col_patches_slice_into, ConvGeometry};
 use mixmatch_tensor::pool::WorkerPool;
 use mixmatch_tensor::simd::SimdTier;
-use mixmatch_tensor::{Tensor, TensorRng};
+use mixmatch_tensor::Tensor;
 
 /// Result of one batched pass: per-input outputs plus the aggregate
 /// hardware-operation census across the whole batch.
@@ -68,67 +74,6 @@ pub struct BatchRun {
     /// `outputs[i]` corresponds to input `i`.
     pub outputs: Vec<Tensor>,
     /// Total integer-op counts over the batch (Table I accounting).
-    pub ops: OpCounts,
-}
-
-/// Per-layer inputs for a whole-model batched pass: `inputs[l][i]` feeds
-/// layer `l` with batch element `i`.
-///
-/// Deployment layers are independent GEMM stages (residual adds, pooling and
-/// normalization live between them in the float model), so a model-level
-/// serving workload drives every layer with its own correctly-shaped batch.
-#[derive(Debug)]
-pub struct ModelBatch {
-    /// Batch inputs per layer, in model order.
-    pub inputs: Vec<Vec<Tensor>>,
-}
-
-impl ModelBatch {
-    /// Samples a synthetic serving batch for every layer of `model`:
-    /// convolution layers get `[Cin, H, H]` maps (spatial size composed
-    /// through the strides from `input_hw`, mirroring the cycle simulator's
-    /// lowering), dense/recurrent layers get `[cols]` vectors, all uniform
-    /// in `[0, clip]`.
-    pub fn sample(
-        model: &QuantizedModel,
-        input_hw: usize,
-        batch: usize,
-        rng: &mut TensorRng,
-    ) -> Self {
-        let clip = model.act_quantizer().clip;
-        let mut h = input_hw;
-        let inputs = model
-            .layers()
-            .iter()
-            .map(|layer| {
-                let dims: Vec<usize> = match &layer.desc.kind {
-                    QuantLayerKind::Conv(geom) | QuantLayerKind::DepthwiseConv(geom) => {
-                        let h_in = h.max(geom.kernel);
-                        h = (h_in / geom.stride).max(1);
-                        vec![geom.in_channels, h_in, h_in]
-                    }
-                    QuantLayerKind::Dense | QuantLayerKind::Recurrent => vec![layer.desc.cols],
-                };
-                (0..batch)
-                    .map(|_| Tensor::rand_uniform(&dims, 0.0, clip, rng))
-                    .collect()
-            })
-            .collect();
-        ModelBatch { inputs }
-    }
-
-    /// Number of batch elements (0 for an empty layer list).
-    pub fn batch_size(&self) -> usize {
-        self.inputs.first().map_or(0, Vec::len)
-    }
-}
-
-/// Result of a whole-model batched pass.
-#[derive(Debug)]
-pub struct ModelRun {
-    /// `outputs[l][i]` is layer `l`'s output for batch element `i`.
-    pub outputs: Vec<Vec<Tensor>>,
-    /// Aggregate op counts over every layer and batch element.
     pub ops: OpCounts,
 }
 
@@ -201,124 +146,6 @@ impl BatchEngine {
         self.pool().threads()
     }
 
-    /// Batched convolution: `images[i]` → output feature map `i`,
-    /// bit-identical to [`QuantizedConv::forward_image`] per element.
-    /// Images are validated up front, the row plan is compiled once, and
-    /// contiguous image chunks are fanned out over the pool with per-worker
-    /// scratch.
-    ///
-    /// # Errors
-    ///
-    /// [`QuantError::ShapeMismatch`] when any image is not a rank-3 map
-    /// with the layer's channel count.
-    pub fn forward_conv_batch(
-        &self,
-        conv: &QuantizedConv,
-        images: &[Tensor],
-    ) -> Result<BatchRun, QuantError> {
-        let geom = *conv.geometry();
-        let act = *conv.act_quantizer();
-        let mut outputs = Vec::with_capacity(images.len());
-        for image in images {
-            let (oh, ow) = conv.check_image(image)?;
-            outputs.push(Tensor::zeros(&[geom.out_channels, oh, ow]));
-        }
-        let plan = conv.matrix().try_plan()?;
-        plan.check_act(&act)?;
-        note_kernel_rows(&plan);
-        let ops = self.dispatch(images, &mut outputs, |image, out, scratch| {
-            conv_image_planned(&plan, &geom, &act, image, out, scratch, None)
-        });
-        Ok(BatchRun { outputs, ops })
-    }
-
-    /// Batched dense/recurrent product: each rank-1 `[cols]` input maps to
-    /// a rank-1 `[rows]` output, bit-identical to
-    /// [`QuantizedMatrix::matvec`] on that input's quantized activations.
-    ///
-    /// # Errors
-    ///
-    /// [`QuantError::ShapeMismatch`] when an input is not `[cols]`.
-    pub fn forward_matrix_batch(
-        &self,
-        matrix: &QuantizedMatrix,
-        act: &ActQuantizer,
-        inputs: &[Tensor],
-    ) -> Result<BatchRun, QuantError> {
-        for input in inputs {
-            if input.shape().rank() != 1 || input.dims()[0] != matrix.cols() {
-                return Err(QuantError::ShapeMismatch {
-                    context: "dense layer input must be a rank-1 [cols] vector".into(),
-                    expected: vec![matrix.cols()],
-                    got: input.dims().to_vec(),
-                });
-            }
-        }
-        let act = *act;
-        let rows = matrix.rows();
-        let mut outputs: Vec<Tensor> = inputs.iter().map(|_| Tensor::zeros(&[rows])).collect();
-        let plan = matrix.try_plan()?;
-        plan.check_act(&act)?;
-        note_kernel_rows(&plan);
-        let ops = self.dispatch(inputs, &mut outputs, |input, out, scratch| {
-            gemm_planned(&plan, &act, input, out, scratch, None)
-        });
-        Ok(BatchRun { outputs, ops })
-    }
-
-    /// Batched forward through one deployed layer, dispatching on its form
-    /// (`act` is the model-wide activation quantizer, used by the matrix
-    /// form; convolutions carry their own).
-    ///
-    /// # Errors
-    ///
-    /// As [`BatchEngine::forward_conv_batch`] /
-    /// [`BatchEngine::forward_matrix_batch`].
-    pub fn forward_layer_batch(
-        &self,
-        layer: &QuantizedLayer,
-        act: &ActQuantizer,
-        inputs: &[Tensor],
-    ) -> Result<BatchRun, QuantError> {
-        match &layer.form {
-            DeployForm::Conv(conv) => self.forward_conv_batch(conv, inputs),
-            DeployForm::Matrix(matrix) => self.forward_matrix_batch(matrix, act, inputs),
-        }
-    }
-
-    /// Whole-model batched pass: every layer processes its batch from
-    /// `batch.inputs`, outputs land in the same `[layer][element]` layout,
-    /// and op counts aggregate across the model — one serving "tick" of the
-    /// software twin, comparable against
-    /// [`QuantizedModel::summarize_batched`].
-    ///
-    /// # Errors
-    ///
-    /// [`QuantError::ShapeMismatch`] when `batch` does not provide inputs
-    /// for every layer, or any input disagrees with its layer.
-    pub fn forward_batch(
-        &self,
-        model: &QuantizedModel,
-        batch: &ModelBatch,
-    ) -> Result<ModelRun, QuantError> {
-        if batch.inputs.len() != model.layers().len() {
-            return Err(QuantError::ShapeMismatch {
-                context: "model batch must provide one input list per layer".into(),
-                expected: vec![model.layers().len()],
-                got: vec![batch.inputs.len()],
-            });
-        }
-        let act = *model.act_quantizer();
-        let mut outputs = Vec::with_capacity(model.layers().len());
-        let mut ops = OpCounts::default();
-        for (layer, inputs) in model.layers().iter().zip(&batch.inputs) {
-            let run = self.forward_layer_batch(layer, &act, inputs)?;
-            ops = ops.merge(run.ops);
-            outputs.push(run.outputs);
-        }
-        Ok(ModelRun { outputs, ops })
-    }
-
     /// End-to-end batched inference through a [`CompiledModel`]'s plan:
     /// raw images in, network outputs (logits / prediction maps) out — no
     /// per-layer input feeding. See [`BatchEngine::run_plan`].
@@ -340,11 +167,11 @@ impl BatchEngine {
     /// plan's buffer high-water marks plus one scratch set, so a whole
     /// forward pass does zero shape inference and near-zero allocation.
     /// Each layer's GEMM row plan is compiled on the model's first call and
-    /// reused by every later one. Per-layer results are bit-identical to
-    /// [`BatchEngine::forward_layer_batch`] on the same inputs (same
-    /// compiled GEMM plans, same kernels); `ops` aggregates the GEMM steps'
-    /// Table I accounting (pool/add/activation steps are ALU work the GEMM
-    /// census does not count).
+    /// reused by every later one. Every conv/GEMM step is bit-identical to
+    /// the interpreted single-image kernels on that step's input (see the
+    /// [module docs](crate::engine)); `ops` aggregates the GEMM steps' Table I
+    /// accounting (pool/add/activation steps are ALU work the GEMM census
+    /// does not count).
     ///
     /// # Errors
     ///
@@ -475,43 +302,6 @@ impl BatchEngine {
                 .into_iter()
                 .fold(OpCounts::default(), OpCounts::merge),
         }
-    }
-
-    /// Fans `(input, output)` pairs out over the pool in contiguous chunks
-    /// — one task per worker share, one scratch set per task — and merges
-    /// the per-chunk op counts.
-    fn dispatch<F>(&self, inputs: &[Tensor], outputs: &mut [Tensor], kernel: F) -> OpCounts
-    where
-        F: Fn(&Tensor, &mut Tensor, &mut ConvScratch) -> OpCounts + Send + Sync,
-    {
-        if inputs.is_empty() {
-            return OpCounts::default();
-        }
-        let chunk = inputs.len().div_ceil(self.pool().threads()).max(1);
-        let chunks = inputs.len().div_ceil(chunk);
-        let mut chunk_ops = vec![OpCounts::default(); chunks];
-        {
-            let kernel = &kernel;
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = inputs
-                .chunks(chunk)
-                .zip(outputs.chunks_mut(chunk))
-                .zip(chunk_ops.iter_mut())
-                .map(|((ins, outs), ops_slot)| {
-                    Box::new(move || {
-                        let mut scratch = ConvScratch::default();
-                        let mut ops = OpCounts::default();
-                        for (input, out) in ins.iter().zip(outs) {
-                            ops = ops.merge(kernel(input, out, &mut scratch));
-                        }
-                        *ops_slot = ops;
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            self.pool().run(tasks);
-        }
-        chunk_ops
-            .into_iter()
-            .fold(OpCounts::default(), OpCounts::merge)
     }
 }
 
@@ -936,33 +726,74 @@ fn run_plan_single(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deploy::QuantizedConv;
     use crate::msq::MsqPolicy;
+    use crate::pipeline::QuantPipeline;
     use crate::schemes::Scheme;
+    use mixmatch_nn::layers::{Conv2d, Linear, Relu};
+    use mixmatch_nn::lower::{GraphBuilder, LoweredGraph};
+    use mixmatch_nn::models::{ResNet, ResNetConfig};
+    use mixmatch_nn::module::{Layer, Param, Sequential};
+    use mixmatch_nn::quantize::{QuantLayerDesc, QuantizableModel};
+    use mixmatch_tensor::TensorRng;
 
-    fn conv_fixture(seed: u64, geom: ConvGeometry, policy: &MsqPolicy) -> QuantizedConv {
+    /// One `Conv2d` as a whole model, so a plan is a single conv step.
+    struct OneConv(Conv2d);
+
+    impl QuantizableModel for OneConv {
+        fn model_params(&self) -> Vec<&Param> {
+            self.0.params()
+        }
+
+        fn model_params_mut(&mut self) -> Vec<&mut Param> {
+            self.0.params_mut()
+        }
+
+        fn quantizable_layers(&self) -> Vec<QuantLayerDesc> {
+            vec![QuantLayerDesc::for_conv(&self.0)]
+        }
+
+        fn lower(&self) -> Option<LoweredGraph> {
+            let mut g = GraphBuilder::new();
+            let x = g.input();
+            let y = g.conv(self.0.weight().name(), x);
+            Some(g.finish(y))
+        }
+    }
+
+    /// A random one-conv model under `policy` and a 4-bit quantizer, its
+    /// plan compiled for `[in_channels, hw, hw]` images.
+    fn conv_fixture(seed: u64, geom: ConvGeometry, policy: MsqPolicy, hw: usize) -> CompiledModel {
         let mut rng = TensorRng::seed_from(seed);
-        let w = Tensor::randn(&[geom.out_channels, geom.gemm_k()], &mut rng);
-        if geom.groups == 1 {
-            QuantizedConv::new(geom, &w, policy, ActQuantizer::new(4, 1.2))
-        } else {
-            QuantizedConv::depthwise(geom, &w, policy, ActQuantizer::new(4, 1.2))
+        let mut model = OneConv(Conv2d::with_geometry("conv", geom, false, &mut rng));
+        QuantPipeline::from_policy(policy)
+            .with_act_quantizer(ActQuantizer::new(4, 1.2))
+            .with_input_shape(&[geom.in_channels, hw, hw])
+            .quantize(&mut model)
+            .expect("quantize one-conv model")
+    }
+
+    /// The interpreter for a one-conv model's only layer.
+    fn conv_of(compiled: &CompiledModel) -> &QuantizedConv {
+        match &compiled.layers()[0].form {
+            DeployForm::Conv(conv) => conv,
+            DeployForm::Matrix(_) => panic!("one-conv model deployed as a matrix"),
         }
     }
 
     #[test]
     fn dense_conv_batch_is_bit_identical_to_single_path() {
-        let conv = conv_fixture(
-            1,
-            ConvGeometry::new(3, 6, 3, 1, 1),
-            &MsqPolicy::msq_optimal(),
-        );
+        let geom = ConvGeometry::new(3, 6, 3, 1, 1);
+        let compiled = conv_fixture(1, geom, MsqPolicy::msq_optimal(), 7);
+        let conv = conv_of(&compiled);
         let mut rng = TensorRng::seed_from(2);
         let images: Vec<Tensor> = (0..5)
             .map(|_| Tensor::rand_uniform(&[3, 7, 7], 0.0, 1.2, &mut rng))
             .collect();
         for threads in [1, 2, 4] {
             let engine = BatchEngine::with_threads(threads);
-            let run = engine.forward_conv_batch(&conv, &images).expect("batch");
+            let run = engine.run_plan_batch(&compiled, &images).expect("batch");
+            assert_eq!(run.outputs.len(), images.len());
             for (img, out) in images.iter().zip(&run.outputs) {
                 let single = conv.forward_image(img);
                 assert_eq!(out.dims(), single.dims());
@@ -973,17 +804,16 @@ mod tests {
 
     #[test]
     fn depthwise_conv_batch_is_bit_identical_to_single_path() {
-        let conv = conv_fixture(
-            3,
-            ConvGeometry::depthwise(4, 3, 1, 1),
-            &MsqPolicy::single(Scheme::Sp2, 4),
-        );
+        let geom = ConvGeometry::depthwise(4, 3, 1, 1);
+        let compiled = conv_fixture(3, geom, MsqPolicy::single(Scheme::Sp2, 4), 6);
+        let conv = conv_of(&compiled);
         let mut rng = TensorRng::seed_from(4);
         let images: Vec<Tensor> = (0..4)
             .map(|_| Tensor::rand_uniform(&[4, 6, 6], 0.0, 1.2, &mut rng))
             .collect();
         let engine = BatchEngine::with_threads(2);
-        let run = engine.forward_conv_batch(&conv, &images).expect("batch");
+        let run = engine.run_plan_batch(&compiled, &images).expect("batch");
+        assert_eq!(run.outputs.len(), images.len());
         for (img, out) in images.iter().zip(&run.outputs) {
             assert_eq!(out.as_slice(), conv.forward_image(img).as_slice());
         }
@@ -992,13 +822,14 @@ mod tests {
     #[test]
     fn batch_ops_equal_sum_of_single_image_ops() {
         let geom = ConvGeometry::new(2, 4, 3, 1, 0);
-        let conv = conv_fixture(5, geom, &MsqPolicy::msq_half());
+        let compiled = conv_fixture(5, geom, MsqPolicy::msq_half(), 5);
+        let conv = conv_of(&compiled);
         let mut rng = TensorRng::seed_from(6);
         let images: Vec<Tensor> = (0..3)
             .map(|_| Tensor::rand_uniform(&[2, 5, 5], 0.0, 1.2, &mut rng))
             .collect();
         let engine = BatchEngine::with_threads(2);
-        let run = engine.forward_conv_batch(&conv, &images).expect("batch");
+        let run = engine.run_plan_batch(&compiled, &images).expect("batch");
         // Reference accounting through the interpreted kernels.
         let act = *conv.act_quantizer();
         let mut expect = OpCounts::default();
@@ -1014,16 +845,21 @@ mod tests {
     #[test]
     fn matrix_batch_is_bit_identical_to_matvec() {
         let mut rng = TensorRng::seed_from(7);
-        let w = Tensor::randn(&[6, 11], &mut rng);
-        let qm = QuantizedMatrix::from_float(&w, &MsqPolicy::msq_optimal());
+        let mut model = Sequential::new();
+        model.push(Linear::with_name("fc", 11, 6, false, &mut rng));
         let act = ActQuantizer::new(4, 1.0);
+        let compiled = QuantPipeline::from_policy(MsqPolicy::msq_optimal())
+            .with_act_quantizer(act)
+            .with_input_shape(&[11])
+            .quantize(&mut model)
+            .expect("quantize one-dense model");
+        let qm = compiled.layers()[0].matrix();
         let inputs: Vec<Tensor> = (0..5)
             .map(|_| Tensor::rand_uniform(&[11], 0.0, 1.0, &mut rng))
             .collect();
         let engine = BatchEngine::with_threads(3);
-        let run = engine
-            .forward_matrix_batch(&qm, &act, &inputs)
-            .expect("batch");
+        let run = engine.run_plan_batch(&compiled, &inputs).expect("batch");
+        assert_eq!(run.outputs.len(), inputs.len());
         let mut expect_ops = OpCounts::default();
         for (x, out) in inputs.iter().zip(&run.outputs) {
             let (y, ops) = qm.matvec(&act.quantize(x.as_slice()), &act);
@@ -1034,68 +870,76 @@ mod tests {
     }
 
     #[test]
-    fn engine_rejects_malformed_inputs_without_panicking() {
-        let conv = conv_fixture(9, ConvGeometry::new(3, 4, 3, 1, 1), &MsqPolicy::msq_half());
-        let engine = BatchEngine::with_threads(1);
-        let bad = vec![Tensor::zeros(&[2, 5, 5])];
-        assert!(matches!(
-            engine.forward_conv_batch(&conv, &bad),
-            Err(QuantError::ShapeMismatch { .. })
-        ));
-        let mut rng = TensorRng::seed_from(10);
-        let w = Tensor::randn(&[3, 8], &mut rng);
-        let qm = QuantizedMatrix::from_float(&w, &MsqPolicy::msq_half());
-        let act = ActQuantizer::new(4, 1.0);
-        assert!(matches!(
-            engine.forward_matrix_batch(&qm, &act, &[Tensor::zeros(&[7])]),
-            Err(QuantError::ShapeMismatch { .. })
-        ));
-        // A struct-literal quantizer past 16 bits fails typed before
-        // fan-out on both entry points, not by a shift panic in a worker.
-        let wide = ActQuantizer {
-            bits: 32,
-            clip: 1.0,
-        };
-        let w = Tensor::randn(&[4, 27], &mut rng);
-        let conv32 = QuantizedConv::new(*conv.geometry(), &w, &MsqPolicy::msq_half(), wide);
-        assert!(matches!(
-            engine.forward_conv_batch(&conv32, &[Tensor::zeros(&[3, 5, 5])]),
-            Err(QuantError::ActQuantizer { bits: 32, .. })
-        ));
-        assert!(matches!(
-            engine.forward_matrix_batch(&qm, &wide, &[Tensor::zeros(&[8])]),
-            Err(QuantError::ActQuantizer { bits: 32, .. })
-        ));
-    }
-
-    #[test]
     fn empty_batch_yields_empty_run() {
-        let conv = conv_fixture(11, ConvGeometry::new(2, 2, 3, 1, 1), &MsqPolicy::msq_half());
+        let geom = ConvGeometry::new(2, 2, 3, 1, 1);
+        let compiled = conv_fixture(11, geom, MsqPolicy::msq_half(), 5);
         let engine = BatchEngine::with_threads(2);
-        let run = engine.forward_conv_batch(&conv, &[]).expect("empty");
+        let run = engine.run_plan_batch(&compiled, &[]).expect("empty");
         assert!(run.outputs.is_empty());
         assert_eq!(run.ops, OpCounts::default());
     }
 
-    #[test]
-    fn run_plan_batch_handles_batch_sizes_zero_and_one() {
-        use mixmatch_nn::layers::{Linear, Relu};
-        use mixmatch_nn::module::Sequential;
-
-        let mut rng = TensorRng::seed_from(12);
+    /// A 6 → 9 → 4 MLP compiled for `[6]` inputs under `act`.
+    fn mlp(rng: &mut TensorRng, act: ActQuantizer) -> CompiledModel {
         let mut model = Sequential::new();
-        model.push(Linear::with_name("fc1", 6, 9, true, &mut rng));
+        model.push(Linear::with_name("fc1", 6, 9, true, rng));
         model.push(Relu::new());
-        model.push(Linear::with_name("fc2", 9, 4, false, &mut rng));
-        let compiled = crate::pipeline::QuantPipeline::from_policy(MsqPolicy::msq_half())
+        model.push(Linear::with_name("fc2", 9, 4, false, rng));
+        QuantPipeline::from_policy(MsqPolicy::msq_half())
+            .with_act_quantizer(act)
             .with_input_shape(&[6])
             .quantize(&mut model)
-            .expect("quantize mlp");
+            .expect("quantize mlp")
+    }
+
+    #[test]
+    fn engine_rejects_malformed_inputs_without_panicking() {
+        let mut rng = TensorRng::seed_from(9);
+        let engine = BatchEngine::with_threads(1);
+        let compiled = mlp(&mut rng, ActQuantizer::new(4, 1.0));
+        let plan = compiled.require_plan().expect("plan");
+        assert!(matches!(
+            engine.run_plan(compiled.model(), plan, &[Tensor::zeros(&[7])]),
+            Err(QuantError::ShapeMismatch { .. })
+        ));
+        // A struct-literal quantizer past 16 bits fails typed before
+        // fan-out on both arms of `layer_plan` (the model-wide quantizer of
+        // a dense layer, a conv's own), not by a shift panic in a worker.
+        let wide = ActQuantizer {
+            bits: 32,
+            clip: 1.0,
+        };
+        let dense = mlp(&mut rng, wide);
+        let plan = dense.require_plan().expect("plan");
+        assert!(matches!(
+            engine.run_plan(dense.model(), plan, &[Tensor::zeros(&[6])]),
+            Err(QuantError::ActQuantizer { bits: 32, .. })
+        ));
+        let mut resnet = ResNet::new(ResNetConfig::mini(10), &mut rng);
+        let conv = QuantPipeline::from_policy(MsqPolicy::msq_half())
+            .with_act_quantizer(wide)
+            .with_input_shape(&[3, 8, 8])
+            .quantize(&mut resnet)
+            .expect("quantize resnet-mini");
+        let plan = conv.require_plan().expect("plan");
+        assert!(matches!(
+            plan.steps().first().map(|s| s.op),
+            Some(StepOp::Conv { .. } | StepOp::FusedConv { .. })
+        ));
+        assert!(matches!(
+            engine.run_plan(conv.model(), plan, &[Tensor::zeros(&[3, 8, 8])]),
+            Err(QuantError::ActQuantizer { bits: 32, .. })
+        ));
+    }
+
+    #[test]
+    fn run_plan_batch_handles_batch_sizes_zero_and_one() {
+        let mut rng = TensorRng::seed_from(12);
+        let compiled = mlp(&mut rng, ActQuantizer::new(4, 1.0));
 
         for threads in [1, 2] {
             let engine = BatchEngine::with_threads(threads);
-            // Batch 0: empty result, zero ops — consistently across the
-            // plan path and the per-layer paths (no error, no panic).
+            // Batch 0: empty result, zero ops (no error, no panic).
             let run = engine.run_plan_batch(&compiled, &[]).expect("empty batch");
             assert!(run.outputs.is_empty());
             assert_eq!(run.ops, OpCounts::default());

@@ -338,21 +338,10 @@ impl QuantizedMatrix {
     /// Compiles the per-row code plans once for batched execution: every
     /// [`WeightCode`] collapses to its exact integer numerator, so the
     /// engine's inner loop is a plain integer dot product instead of an enum
-    /// dispatch per element. See [`GemmPlan`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when a code's numerator is not representable (see
-    /// [`QuantizedMatrix::try_plan`] for the fallible form).
-    pub fn plan(&self) -> GemmPlan {
-        self.try_plan().expect("plan compilation failed")
-    }
-
-    /// Fallible [`QuantizedMatrix::plan`]: compiles every row, keeping
-    /// genuinely 4-bit rows in their *packed* nibble form (the SIMD
-    /// decode-in-register layout) and anything wider as dense `i64`
-    /// numerators, and records each row's worst-case accumulator magnitude
-    /// for [`GemmPlan::check_act`].
+    /// dispatch per element. Genuinely 4-bit rows keep their *packed* nibble
+    /// form (the SIMD decode-in-register layout), anything wider becomes
+    /// dense `i64` numerators, and each row records its worst-case
+    /// accumulator magnitude for [`GemmPlan::check_act`]. See [`GemmPlan`].
     ///
     /// # Errors
     ///
@@ -616,23 +605,6 @@ impl PlannedRow {
             }
         }
     }
-
-    /// `(numerator, addable)` for code `k` — the strided-access path the
-    /// legacy `[cols, n]` entry points use.
-    fn num_at(&self, k: usize) -> (i64, bool) {
-        match &self.data {
-            RowData::Packed { bytes, lut } => {
-                let byte = bytes[k / 2];
-                let nib = if k.is_multiple_of(2) {
-                    byte & 0xf
-                } else {
-                    byte >> 4
-                };
-                (lut.num(nib), lut.addable(nib))
-            }
-            RowData::Dense { nums, add_mask } => (nums[k], add_mask[k] != 0),
-        }
-    }
 }
 
 /// A [`QuantizedMatrix`] compiled for batched execution.
@@ -686,8 +658,8 @@ impl GemmPlan {
 
     /// Statically proves that no accumulator can wrap for activations from
     /// `act`: per row, `Σ|numerator| × max_level` must fit the `i64`
-    /// accumulator. Engine entry points call this once per (plan, batch)
-    /// before fan-out, turning what used to be silent wraparound on
+    /// accumulator. The engine calls this once per compiled layer, before
+    /// its first fan-out, turning what used to be silent wraparound on
     /// adversarial artifacts into a typed error.
     ///
     /// # Errors
@@ -713,47 +685,6 @@ impl GemmPlan {
         Ok(())
     }
 
-    /// Batched integer GEMM into a caller buffer: `activations` is the
-    /// row-major `[cols, n]` patch matrix, `out` is `[rows, n]`. `scratch`
-    /// holds the transposed activations between calls (grown on demand, so
-    /// steady-state execution is allocation-free). Bit-identical to
-    /// [`QuantizedMatrix::matmul`], op counts included.
-    ///
-    /// # Panics
-    ///
-    /// Panics when slice lengths disagree with `[cols, n]` / `[rows, n]`.
-    pub fn matmul_into(
-        &self,
-        activations: &[u32],
-        n: usize,
-        act: &ActQuantizer,
-        out: &mut [f32],
-        scratch: &mut Vec<u32>,
-    ) -> OpCounts {
-        assert_eq!(
-            activations.len(),
-            self.cols * n,
-            "activation matrix must be cols × n"
-        );
-        assert_eq!(out.len(), self.rows() * n, "output must be rows × n");
-        // Transpose once so each (row, patch) reduction is contiguous. A
-        // single column (`n == 1`, the matvec case) is already contiguous;
-        // otherwise the resize only zero-fills growth — every element is
-        // overwritten below, so no clear is needed.
-        let columns: &[u32] = if n == 1 {
-            activations
-        } else {
-            scratch.resize(self.cols * n, 0);
-            for k in 0..self.cols {
-                for j in 0..n {
-                    scratch[j * self.cols + k] = activations[k * n + j];
-                }
-            }
-            scratch
-        };
-        self.matmul_patches_into(columns, n, act, out, n, 0, None)
-    }
-
     /// Integer GEMM over a **patch-major tile**: `patches` holds `n`
     /// contiguous `cols`-long activation columns (`[n, cols]`), and outputs
     /// land at column offset `j0` of a `[rows, out_stride]` buffer — so the
@@ -761,7 +692,9 @@ impl GemmPlan {
     /// still resident in L1/L2, accumulating the full output image across
     /// calls. When `epilogue` is given, its post-op chain is applied to
     /// each element in the write-back (bit-identical to a separate pass —
-    /// every post-op is elementwise).
+    /// every post-op is elementwise). Without one, the output is
+    /// bit-identical to [`QuantizedMatrix::matmul`] on the same activations
+    /// laid out `[cols, n]`, op counts included.
     ///
     /// # Panics
     ///
@@ -798,50 +731,11 @@ impl GemmPlan {
         ops
     }
 
-    /// Planned counterpart of [`QuantizedMatrix::matmul_row`]: one row
-    /// against a `[cols, n]` activation matrix — the depthwise primitive.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `r` is out of range or slice lengths disagree.
-    pub fn row_matmul_into(
-        &self,
-        r: usize,
-        activations: &[u32],
-        n: usize,
-        act: &ActQuantizer,
-        out: &mut [f32],
-    ) -> OpCounts {
-        assert!(r < self.rows(), "row index out of range");
-        assert_eq!(
-            activations.len(),
-            self.cols * n,
-            "activation matrix must be cols × n"
-        );
-        assert_eq!(out.len(), n, "output must hold n patches");
-        let row = &self.rows[r];
-        let scale = row.scale(act);
-        let mut ops = OpCounts::default();
-        for (j, slot) in out.iter_mut().enumerate() {
-            let mut acc = 0i64;
-            let mut adds = 0usize;
-            for k in 0..self.cols {
-                let (num, addable) = row.num_at(k);
-                let a = activations[k * n + j] as i64;
-                acc += a * num;
-                adds += (addable && a != 0) as usize;
-            }
-            ops = ops.merge(row.base_ops);
-            ops.adds += adds;
-            *slot = acc as f32 * scale;
-        }
-        ops
-    }
-
     /// Patch-major depthwise primitive: one row against a tile of `n`
     /// contiguous `cols`-long patches, with the optional fused epilogue in
-    /// the write-back — the tiled twin of
-    /// [`GemmPlan::row_matmul_into`].
+    /// the write-back — the planned, tiled twin of
+    /// [`QuantizedMatrix::matmul_row`], bit-identical to it (op counts
+    /// included) when no epilogue is given.
     ///
     /// # Panics
     ///
@@ -1001,10 +895,10 @@ impl PackedMatrix {
         &self.data[r * bpr..(r + 1) * bpr]
     }
 
-    /// Compiles an executable [`GemmPlan`] straight from the packed bytes.
+    /// Compiles an executable [`GemmPlan`] by unpacking into a
+    /// [`QuantizedMatrix`] and planning that (`self.unpack()?.try_plan()`).
     /// Every decoded 4-bit row round-trips, so the resulting plan keeps all
-    /// rows in the packed SIMD layout — identical (tier included) to
-    /// `self.unpack()?.try_plan()?`, which is how deserialized artifacts
+    /// rows in the packed SIMD layout — which is how deserialized artifacts
     /// reach the vector kernels.
     ///
     /// # Errors
@@ -1064,6 +958,19 @@ mod tests {
     use mixmatch_tensor::TensorRng;
     use proptest::prelude::*;
 
+    /// Transposes a `[cols, n]` activation matrix (the interpreter's
+    /// layout) into the `[n, cols]` patch-major tile the planned kernels
+    /// read.
+    fn patch_major(xq: &[u32], cols: usize, n: usize) -> Vec<u32> {
+        let mut tile = vec![0u32; cols * n];
+        for k in 0..cols {
+            for j in 0..n {
+                tile[j * cols + k] = xq[k * n + j];
+            }
+        }
+        tile
+    }
+
     #[test]
     fn act_quantizer_round_trips_on_grid() {
         let act = ActQuantizer::new(4, 1.5);
@@ -1117,11 +1024,11 @@ mod tests {
                 .collect();
             let xq = act.quantize(&x);
             let (y_ref, ops_ref) = qm.matmul(&xq, n, &act);
-            let plan = qm.plan();
+            let plan = qm.try_plan().unwrap();
             assert_eq!((plan.rows(), plan.cols()), (9, 17));
             let mut out = vec![0.0f32; 9 * n];
-            let mut scratch = Vec::new();
-            let ops = plan.matmul_into(&xq, n, &act, &mut out, &mut scratch);
+            let tile = patch_major(&xq, 17, n);
+            let ops = plan.matmul_patches_into(&tile, n, &act, &mut out, n, 0, None);
             assert_eq!(out, y_ref.as_slice(), "outputs must be bit-identical");
             assert_eq!(ops, ops_ref, "op accounting must match the interpreter");
         }
@@ -1144,11 +1051,12 @@ mod tests {
             })
             .collect();
         let xq = act.quantize(&x);
-        let plan = qm.plan();
+        let plan = qm.try_plan().unwrap();
+        let tile = patch_major(&xq, 9, n);
         for r in 0..4 {
             let (y_ref, ops_ref) = qm.matmul_row(r, &xq, n, &act);
             let mut out = vec![0.0f32; n];
-            let ops = plan.row_matmul_into(r, &xq, n, &act, &mut out);
+            let ops = plan.row_matmul_patches_into(r, &tile, n, &act, &mut out, None);
             assert_eq!(out, y_ref, "row {r} outputs must be bit-identical");
             assert_eq!(ops, ops_ref, "row {r} ops must match");
         }
@@ -1349,7 +1257,9 @@ mod tests {
         // computed.
         let mut rng = TensorRng::seed_from(36);
         let w = Tensor::randn(&[3, 10], &mut rng);
-        let plan = QuantizedMatrix::from_float(&w, &MsqPolicy::msq_half()).plan();
+        let plan = QuantizedMatrix::from_float(&w, &MsqPolicy::msq_half())
+            .try_plan()
+            .unwrap();
         for (bits, clip) in [
             (32, 1.0),
             (40, 1.0),
@@ -1388,18 +1298,11 @@ mod tests {
             })
             .collect();
         let xq = act.quantize(&x);
-        let plan = qm.plan();
-        let mut full = vec![0.0f32; 7 * n];
-        let mut scratch = Vec::new();
-        let ops_full = plan.matmul_into(&xq, n, &act, &mut full, &mut scratch);
-        // Re-run in uneven patch tiles against the transposed activations
-        // and stitch the output back together at matching offsets.
-        let mut patch_major = vec![0u32; 19 * n];
-        for k in 0..19 {
-            for j in 0..n {
-                patch_major[j * 19 + k] = xq[k * n + j];
-            }
-        }
+        let plan = qm.try_plan().unwrap();
+        let (full, ops_full) = qm.matmul(&xq, n, &act);
+        // Run in uneven patch tiles against the transposed activations and
+        // stitch the output back together at matching offsets.
+        let patches = patch_major(&xq, 19, n);
         let mut tiled = vec![0.0f32; 7 * n];
         let mut ops_tiled = OpCounts::default();
         let mut j0 = 0;
@@ -1408,20 +1311,22 @@ mod tests {
             if count == 0 {
                 break;
             }
-            let tile_acts = &patch_major[j0 * 19..(j0 + count) * 19];
+            let tile_acts = &patches[j0 * 19..(j0 + count) * 19];
             ops_tiled = ops_tiled
                 .merge(plan.matmul_patches_into(tile_acts, count, &act, &mut tiled, n, j0, None));
             j0 += count;
         }
-        assert_eq!(tiled, full, "tiled outputs must be bit-identical");
+        assert_eq!(
+            tiled,
+            full.as_slice(),
+            "tiled outputs must be bit-identical"
+        );
         assert_eq!(ops_tiled, ops_full, "tiled op accounting must match");
-        // Depthwise: per-row tile calls match row_matmul_into.
+        // Depthwise: per-row tile calls match matmul_row.
         for r in 0..7 {
-            let mut row_ref = vec![0.0f32; n];
-            let ops_ref = plan.row_matmul_into(r, &xq, n, &act, &mut row_ref);
+            let (row_ref, ops_ref) = qm.matmul_row(r, &xq, n, &act);
             let mut row_tiled = vec![0.0f32; n];
-            let ops_t =
-                plan.row_matmul_patches_into(r, &patch_major, n, &act, &mut row_tiled, None);
+            let ops_t = plan.row_matmul_patches_into(r, &patches, n, &act, &mut row_tiled, None);
             assert_eq!(row_tiled, row_ref, "row {r}");
             assert_eq!(ops_t, ops_ref, "row {r} ops");
         }
@@ -1436,14 +1341,14 @@ mod tests {
         let n = 6;
         let x: Vec<f32> = (0..33 * n).map(|_| rng.uniform_in(0.0, 1.2)).collect();
         let xq = act.quantize(&x);
-        let plan = qm.plan();
+        let plan = qm.try_plan().unwrap();
         let scalar_plan = plan
             .clone()
             .with_tier(mixmatch_tensor::simd::SimdTier::Scalar);
         let (mut a, mut b) = (vec![0.0f32; 9 * n], vec![0.0f32; 9 * n]);
-        let mut scratch = Vec::new();
-        let ops_a = plan.matmul_into(&xq, n, &act, &mut a, &mut scratch);
-        let ops_b = scalar_plan.matmul_into(&xq, n, &act, &mut b, &mut scratch);
+        let tile = patch_major(&xq, 33, n);
+        let ops_a = plan.matmul_patches_into(&tile, n, &act, &mut a, n, 0, None);
+        let ops_b = scalar_plan.matmul_patches_into(&tile, n, &act, &mut b, n, 0, None);
         assert_eq!(a, b, "tiers must agree bit-exactly");
         assert_eq!(ops_a, ops_b, "op accounting must be tier-independent");
     }
@@ -1461,8 +1366,8 @@ mod tests {
         let x: Vec<u32> = (0..21).map(|i| (i % 16) as u32).collect();
         let (y_ref, _) = qm.matvec(&x, &act);
         let mut y = vec![0.0f32; 5];
-        let mut scratch = Vec::new();
-        plan.matmul_into(&x, 1, &act, &mut y, &mut scratch);
+        // A single column is already patch-major.
+        plan.matmul_patches_into(&x, 1, &act, &mut y, 1, 0, None);
         assert_eq!(y, y_ref, "packed-bytes plan must match the interpreter");
     }
 

@@ -56,6 +56,11 @@ pub use mixmatch_quant as quant;
 pub use mixmatch_serve as serve;
 pub use mixmatch_tensor as tensor;
 
+/// The README's Rust examples, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 /// The most common imports, for examples and downstream experiments.
 pub mod prelude {
     pub use mixmatch_fpga::arch::AcceleratorConfig;

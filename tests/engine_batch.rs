@@ -1,16 +1,23 @@
-//! Integration tests for the batched integer inference engine: the pooled
-//! `BatchEngine` must be **bit-identical** to the single-image deployment
-//! path (`QuantizedConv::forward_image` / `QuantizedMatrix::matvec`) on
-//! every model the pipeline produces, and the batched hardware summary must
-//! sit next to the measured path coherently.
+//! Integration tests for batched execution through the plan engine: a
+//! `run_plan_batch` call must be **bit-identical** to the single-image
+//! path — on one-layer plans against the interpreted kernels
+//! (`QuantizedConv::forward_image` / `QuantizedMatrix::matvec`), and on the
+//! pipeline model against the same images run one at a time — and the
+//! batched hardware summary must sit next to the measured path coherently.
+//!
+//! CI runs this suite under default dispatch and with
+//! `MIXMATCH_FORCE_SCALAR=1`, like `kernel_parity`.
 
+mod common;
+
+use common::{conv_of, one_conv, one_dense};
 use mixmatch::nn::models::{ResNet, ResNetConfig};
 use mixmatch::prelude::*;
-use mixmatch::quant::deploy::QuantizedConv;
-use mixmatch::quant::engine::{BatchEngine, ModelBatch};
-use mixmatch::quant::integer::{ActQuantizer, QuantizedMatrix};
-use mixmatch::quant::pipeline::DeployForm;
-use mixmatch::tensor::im2col::ConvGeometry;
+use mixmatch::quant::codes::OpCounts;
+use mixmatch::quant::engine::BatchEngine;
+use mixmatch::quant::graph::StepOp;
+use mixmatch::quant::integer::ActQuantizer;
+use mixmatch::tensor::im2col::{im2col, ConvGeometry};
 use proptest::prelude::*;
 
 fn quantized_resnet(input_hw: usize) -> CompiledModel {
@@ -21,58 +28,52 @@ fn quantized_resnet(input_hw: usize) -> CompiledModel {
         .expect("quantize resnet-mini")
 }
 
-/// The acceptance property: on the pipeline model, every layer's batched
-/// outputs equal the single-image path bit for bit, at several thread
-/// counts, for both deployment forms.
+/// The acceptance property on the pipeline model: each image's logits from
+/// a batched run equal the same image run alone, bit for bit, with the op
+/// census summed, at several thread counts. Per-step parity of this model
+/// against the interpreter is `compiled_graph`'s
+/// `run_plan_batch_matches_hand_chained_reference_on_pipeline_resnet`.
 #[test]
 fn engine_batch_is_bit_identical_to_single_image_path_on_pipeline_model() {
     let quantized = quantized_resnet(8);
-    let act = *quantized.act_quantizer();
+    let plan = quantized.require_plan().expect("plan");
+    assert!(
+        plan.steps()
+            .iter()
+            .any(|s| matches!(s.op, StepOp::Conv { .. } | StepOp::FusedConv { .. })),
+        "resnet must exercise the conv path"
+    );
+    assert!(
+        plan.steps()
+            .iter()
+            .any(|s| matches!(s.op, StepOp::Gemm { .. } | StepOp::FusedGemm { .. })),
+        "resnet must exercise the dense path"
+    );
     let mut rng = TensorRng::seed_from(6);
-    let batch = ModelBatch::sample(&quantized, 8, 4, &mut rng);
+    let images: Vec<Tensor> = (0..4)
+        .map(|_| Tensor::rand_uniform(&[3, 8, 8], 0.0, 1.0, &mut rng))
+        .collect();
     let host = std::thread::available_parallelism()
         .map(|v| v.get())
         .unwrap_or(1);
-    let mut convs = 0usize;
-    let mut dense = 0usize;
     for threads in [1, 2, host] {
         let engine = BatchEngine::with_threads(threads);
-        let run = engine.forward_batch(&quantized, &batch).expect("batched");
-        assert_eq!(run.outputs.len(), quantized.layers().len());
-        for ((layer, inputs), outputs) in quantized
-            .layers()
-            .iter()
-            .zip(&batch.inputs)
-            .zip(&run.outputs)
-        {
-            for (input, output) in inputs.iter().zip(outputs) {
-                match &layer.form {
-                    DeployForm::Conv(conv) => {
-                        convs += 1;
-                        let single = conv.forward_image(input);
-                        assert_eq!(
-                            output.as_slice(),
-                            single.as_slice(),
-                            "{} (threads {threads})",
-                            layer.desc.name
-                        );
-                    }
-                    DeployForm::Matrix(matrix) => {
-                        dense += 1;
-                        let (single, _) = matrix.matvec(&act.quantize(input.as_slice()), &act);
-                        assert_eq!(
-                            output.as_slice(),
-                            &single[..],
-                            "{} (threads {threads})",
-                            layer.desc.name
-                        );
-                    }
-                }
-            }
+        let run = engine.run_plan_batch(&quantized, &images).expect("batched");
+        assert_eq!(run.outputs.len(), images.len());
+        let mut ops = OpCounts::default();
+        for (image, output) in images.iter().zip(&run.outputs) {
+            let single = engine
+                .run_plan_batch(&quantized, std::slice::from_ref(image))
+                .expect("single image");
+            ops = ops.merge(single.ops);
+            assert_eq!(
+                output.as_slice(),
+                single.outputs[0].as_slice(),
+                "threads {threads}"
+            );
         }
+        assert_eq!(run.ops, ops, "threads {threads}");
     }
-    assert!(convs > 0, "resnet must exercise the conv path");
-    assert!(dense > 0, "resnet must exercise the dense path");
 }
 
 /// The batched cycle-simulator prediction rides along with the engine:
@@ -97,8 +98,9 @@ fn batched_hardware_summary_accompanies_the_engine() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Satellite property: batched output `i` is bit-identical to
-    /// `forward_image` on input `i` for random **dense** convolutions.
+    /// A one-conv plan's output `i` is bit-identical to `forward_image` on
+    /// image `i` for random **dense** convolutions, and its op census is
+    /// the interpreter's summed over the batch.
     #[test]
     fn dense_conv_forward_batch_bit_identical(
         seed in 0u64..200,
@@ -111,17 +113,23 @@ proptest! {
     ) {
         let mut rng = TensorRng::seed_from(seed);
         let geom = ConvGeometry::new(cin, cout, 3, stride, pad);
-        let w = Tensor::randn(&[cout, geom.gemm_k()], &mut rng);
-        let conv = QuantizedConv::new(geom, &w, &MsqPolicy::msq_optimal(), ActQuantizer::new(4, 1.1));
+        let act = ActQuantizer::new(4, 1.1);
+        let compiled = one_conv(geom, MsqPolicy::msq_optimal(), act, hw, &mut rng);
+        let conv = conv_of(&compiled);
         let images: Vec<Tensor> = (0..3)
             .map(|_| Tensor::rand_uniform(&[cin, hw, hw], -0.2, 1.3, &mut rng))
             .collect();
         let engine = BatchEngine::with_threads(threads);
-        let run = engine.forward_conv_batch(&conv, &images).expect("batch");
+        let run = engine.run_plan_batch(&compiled, &images).expect("batch");
+        let mut ops = OpCounts::default();
         for (img, out) in images.iter().zip(&run.outputs) {
             let single = conv.forward_image(img);
             prop_assert_eq!(out.as_slice(), single.as_slice());
+            let cols = im2col(img, &geom, 0);
+            let xq = act.quantize(cols.as_slice());
+            ops = ops.merge(conv.matrix().matmul(&xq, cols.dims()[1], &act).1);
         }
+        prop_assert_eq!(run.ops, ops);
     }
 
     /// Same property for random **depthwise** convolutions.
@@ -135,20 +143,22 @@ proptest! {
     ) {
         let mut rng = TensorRng::seed_from(seed);
         let geom = ConvGeometry::depthwise(channels, 3, stride, 1);
-        let w = Tensor::randn(&[channels, 9], &mut rng);
-        let conv = QuantizedConv::depthwise(geom, &w, &MsqPolicy::msq_half(), ActQuantizer::new(4, 1.0));
+        let compiled = one_conv(
+            geom, MsqPolicy::msq_half(), ActQuantizer::new(4, 1.0), hw, &mut rng);
+        let conv = conv_of(&compiled);
         let images: Vec<Tensor> = (0..3)
             .map(|_| Tensor::rand_uniform(&[channels, hw, hw], 0.0, 1.0, &mut rng))
             .collect();
         let engine = BatchEngine::with_threads(threads);
-        let run = engine.forward_conv_batch(&conv, &images).expect("batch");
+        let run = engine.run_plan_batch(&compiled, &images).expect("batch");
         for (img, out) in images.iter().zip(&run.outputs) {
             let single = conv.forward_image(img);
             prop_assert_eq!(out.as_slice(), single.as_slice());
         }
     }
 
-    /// Dense matrices: batched engine vs `matvec`, including the op census.
+    /// Dense matrices: a one-GEMM plan vs `matvec`, including the op
+    /// census.
     #[test]
     fn matrix_forward_batch_bit_identical(
         seed in 0u64..200,
@@ -157,15 +167,15 @@ proptest! {
         batch in 1usize..6,
     ) {
         let mut rng = TensorRng::seed_from(seed);
-        let w = Tensor::randn(&[rows, cols], &mut rng);
-        let qm = QuantizedMatrix::from_float(&w, &MsqPolicy::msq_optimal());
         let act = ActQuantizer::new(4, 1.0);
+        let compiled = one_dense(rows, cols, MsqPolicy::msq_optimal(), act, &mut rng);
+        let qm = compiled.layers()[0].matrix();
         let inputs: Vec<Tensor> = (0..batch)
             .map(|_| Tensor::rand_uniform(&[cols], 0.0, 1.0, &mut rng))
             .collect();
         let engine = BatchEngine::with_threads(2);
-        let run = engine.forward_matrix_batch(&qm, &act, &inputs).expect("batch");
-        let mut ops = mixmatch::quant::codes::OpCounts::default();
+        let run = engine.run_plan_batch(&compiled, &inputs).expect("batch");
+        let mut ops = OpCounts::default();
         for (x, out) in inputs.iter().zip(&run.outputs) {
             let (y, o) = qm.matvec(&act.quantize(x.as_slice()), &act);
             ops = ops.merge(o);

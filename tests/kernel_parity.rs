@@ -10,9 +10,11 @@
 //! environment, the `with_tier` seam compares both tiers of the *same*
 //! plan in-process.
 
+mod common;
+
+use common::{conv_of, one_conv, one_dense};
 use mixmatch::prelude::*;
 use mixmatch::quant::codes::OpCounts;
-use mixmatch::quant::deploy::QuantizedConv;
 use mixmatch::quant::engine::BatchEngine;
 use mixmatch::quant::integer::{ActQuantizer, QuantizedMatrix};
 use mixmatch::quant::msq::MsqPolicy;
@@ -27,6 +29,18 @@ fn host_threads() -> usize {
     std::thread::available_parallelism()
         .map(|v| v.get())
         .unwrap_or(1)
+}
+
+/// Transposes a `[cols, n]` activation matrix (the interpreter's layout)
+/// into the `[n, cols]` patch-major tile the planned kernels read.
+fn patch_major(xq: &[u32], cols: usize, n: usize) -> Vec<u32> {
+    let mut tile = vec![0u32; cols * n];
+    for k in 0..cols {
+        for j in 0..n {
+            tile[j * cols + k] = xq[k * n + j];
+        }
+    }
+    tile
 }
 
 /// Activations with the full adversarial mix: zeros (SP2 add accounting),
@@ -55,11 +69,11 @@ fn assert_three_way_parity(qm: &QuantizedMatrix, act: &ActQuantizer, n: usize, s
     let plan = qm.try_plan().expect("plan");
     plan.check_act(act)
         .expect("bound holds for 4-bit numerators");
+    let tile = patch_major(&xq, qm.cols(), n);
     for tier in [SimdTier::Scalar, detected_tier()] {
         let tiered = plan.clone().with_tier(tier);
         let mut out = vec![f32::NAN; qm.rows() * n];
-        let mut scratch = Vec::new();
-        let ops = tiered.matmul_into(&xq, n, act, &mut out, &mut scratch);
+        let ops = tiered.matmul_patches_into(&tile, n, act, &mut out, n, 0, None);
         assert_eq!(
             out,
             y_ref.as_slice(),
@@ -156,16 +170,17 @@ fn engine_conv_parity_with_nan_inf_images_at_1_2_host_threads() {
         ConvGeometry::new(4, 6, 1, 1, 0),
         ConvGeometry::depthwise(4, 3, 1, 1),
     ] {
-        let w = Tensor::randn(&[geom.out_channels, geom.gemm_k()], &mut rng);
         // The engine's activation codes at 4, 8, 15 (the 16-lane madd
         // kernel's ceiling) and 16 bits (the 8-lane i32 kernel).
         for bits in [4u32, 8, 15, 16] {
             let act = ActQuantizer::new(bits, 1.2);
-            let conv = if geom.groups == 1 {
-                QuantizedConv::new(geom, &w, &MsqPolicy::msq_optimal(), act)
+            let policy = if geom.groups == 1 {
+                MsqPolicy::msq_optimal()
             } else {
-                QuantizedConv::depthwise(geom, &w, &MsqPolicy::single(Scheme::Sp2, 4), act)
+                MsqPolicy::single(Scheme::Sp2, 4)
             };
+            let compiled = one_conv(geom, policy, act, 7, &mut rng);
+            let conv = conv_of(&compiled);
             let images: Vec<Tensor> = (0..6)
                 .map(|_| {
                     let vals = adversarial_activations(&mut rng, geom.in_channels * 49, 1.2);
@@ -174,7 +189,7 @@ fn engine_conv_parity_with_nan_inf_images_at_1_2_host_threads() {
                 .collect();
             for threads in [1, 2, host_threads()] {
                 let engine = BatchEngine::with_threads(threads);
-                let run = engine.forward_conv_batch(&conv, &images).expect("batch");
+                let run = engine.run_plan_batch(&compiled, &images).expect("batch");
                 for (img, out) in images.iter().zip(&run.outputs) {
                     assert_eq!(
                         out.as_slice(),
@@ -230,16 +245,23 @@ fn shrinking_batches_on_one_worker_leave_no_stale_scratch() {
             );
         }
     }
-    // Mixed spatial sizes through the per-layer conv path: a 9×9 image's
-    // scratch is reused by a 5×5 one, then 7×7, on the same worker.
+    // Mixed spatial sizes through one-conv plans compiled per size: a 9×9
+    // image's scratch is reused by a 5×5 one, then 7×7, on the same worker.
     let geom = ConvGeometry::new(3, 6, 3, 1, 1);
-    let w = Tensor::randn(&[6, geom.gemm_k()], &mut rng);
-    let conv = QuantizedConv::new(geom, &w, &MsqPolicy::msq_half(), ActQuantizer::new(4, 1.2));
+    let compiled = one_conv(
+        geom,
+        MsqPolicy::msq_half(),
+        ActQuantizer::new(4, 1.2),
+        9,
+        &mut rng,
+    );
+    let conv = conv_of(&compiled);
     for hw in [9usize, 5, 7] {
+        let plan = compiled.compile(&[3, hw, hw]).expect("compile at size");
         let img = Tensor::rand_uniform(&[3, hw, hw], 0.0, 1.2, &mut rng);
         let run = engine
-            .forward_conv_batch(&conv, std::slice::from_ref(&img))
-            .expect("conv batch");
+            .run_plan(compiled.model(), &plan, std::slice::from_ref(&img))
+            .expect("conv plan");
         assert_eq!(
             run.outputs[0].as_slice(),
             conv.forward_image(&img).as_slice(),
@@ -263,11 +285,11 @@ fn packed_artifact_plans_match_interpreter_under_both_tiers() {
     let (y_ref, ops_ref) = qm.matmul(&xq, 3, &act);
     let plan = packed.try_plan().expect("plan from packed bytes");
     assert_eq!(plan.packed_rows(), 8, "all 4-bit rows must stay packed");
+    let tile = patch_major(&xq, 45, 3);
     for tier in [SimdTier::Scalar, detected_tier()] {
         let tiered = plan.clone().with_tier(tier);
         let mut out = vec![0.0f32; 8 * 3];
-        let mut scratch = Vec::new();
-        let ops = tiered.matmul_into(&xq, 3, &act, &mut out, &mut scratch);
+        let ops = tiered.matmul_patches_into(&tile, 3, &act, &mut out, 3, 0, None);
         assert_eq!(out, y_ref.as_slice(), "{tier:?}");
         assert_eq!(ops, ops_ref, "{tier:?} ops");
     }
@@ -280,27 +302,13 @@ fn packed_artifact_plans_match_interpreter_under_both_tiers() {
 fn engine_surfaces_typed_overflow_for_wide_pow2_codebooks() {
     use mixmatch::quant::error::QuantError;
     let mut rng = TensorRng::seed_from(106);
-    let w = Tensor::randn(&[4, 16], &mut rng);
-    let qm = QuantizedMatrix::from_float(&w, &MsqPolicy::single(Scheme::Pow2, 7));
     let act = ActQuantizer::new(4, 1.0);
     let engine = BatchEngine::with_threads(1);
     let inputs = vec![Tensor::rand_uniform(&[16], 0.0, 1.0, &mut rng)];
-    match engine.forward_matrix_batch(&qm, &act, &inputs) {
-        Err(QuantError::Overflow(o)) => assert!(o.bound > o.limit),
-        other => panic!("expected typed Overflow, got {other:?}"),
-    }
 
-    // Through a whole plan: the layer caches its failed compile, so a
-    // second `run_plan` on the same model returns the same typed error.
-    let mut model = mixmatch::nn::module::Sequential::new();
-    model.push(mixmatch::nn::layers::Linear::with_name(
-        "fc", 16, 4, false, &mut rng,
-    ));
-    let compiled = QuantPipeline::from_policy(MsqPolicy::single(Scheme::Pow2, 7))
-        .with_act_quantizer(act)
-        .with_input_shape(&[16])
-        .quantize(&mut model)
-        .expect("quantize wide pow2 layer");
+    // The layer caches its failed compile, so a second `run_plan` on the
+    // same model returns the same typed error.
+    let compiled = one_dense(4, 16, MsqPolicy::single(Scheme::Pow2, 7), act, &mut rng);
     let plan = compiled.require_plan().expect("plan");
     let first = engine.run_plan(compiled.model(), plan, &inputs).err();
     match &first {
@@ -332,15 +340,8 @@ proptest! {
         let xq = act.quantize(&x);
         let (y_ref, ops_ref) = qm.matmul(&xq, n, &act);
         let plan = qm.try_plan().expect("plan");
-        for tier in [SimdTier::Scalar, detected_tier()] {
-            let tiered = plan.clone().with_tier(tier);
-            let mut out = vec![f32::NAN; rows * n];
-            let mut scratch = Vec::new();
-            let ops = tiered.matmul_into(&xq, n, &act, &mut out, &mut scratch);
-            prop_assert_eq!(&out[..], y_ref.as_slice(), "{:?}", tier);
-            prop_assert_eq!(ops, ops_ref);
-        }
-        // Depthwise primitive over the same matrix.
+        let tile = patch_major(&xq, cols, n);
+        // Depthwise primitive over the same matrix: one row at a time.
         let mut expect_ops = OpCounts::default();
         let mut expect = Vec::new();
         for r in 0..rows {
@@ -348,13 +349,20 @@ proptest! {
             expect.extend(y);
             expect_ops = expect_ops.merge(o);
         }
-        let mut got = vec![f32::NAN; rows * n];
-        let mut got_ops = OpCounts::default();
-        for r in 0..rows {
-            got_ops = got_ops.merge(
-                plan.row_matmul_into(r, &xq, n, &act, &mut got[r * n..(r + 1) * n]));
+        for tier in [SimdTier::Scalar, detected_tier()] {
+            let tiered = plan.clone().with_tier(tier);
+            let mut out = vec![f32::NAN; rows * n];
+            let ops = tiered.matmul_patches_into(&tile, n, &act, &mut out, n, 0, None);
+            prop_assert_eq!(&out[..], y_ref.as_slice(), "{:?}", tier);
+            prop_assert_eq!(ops, ops_ref);
+            let mut got = vec![f32::NAN; rows * n];
+            let mut got_ops = OpCounts::default();
+            for r in 0..rows {
+                got_ops = got_ops.merge(tiered.row_matmul_patches_into(
+                    r, &tile, n, &act, &mut got[r * n..(r + 1) * n], None));
+            }
+            prop_assert_eq!(&got, &expect, "{:?}", tier);
+            prop_assert_eq!(got_ops, expect_ops, "{:?}", tier);
         }
-        prop_assert_eq!(got, expect);
-        prop_assert_eq!(got_ops, expect_ops);
     }
 }
