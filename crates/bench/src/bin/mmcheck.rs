@@ -19,10 +19,10 @@
 //! clean, 1 when any target fails parsing or verification, 2 on usage or
 //! I/O errors.
 //!
-//! Artifact targets are deliberately linted *below* `import_compiled` (which
-//! now verifies on its own): the bytes are parsed, the plan and layer table
-//! are extracted, and the verifier pipeline runs explicitly so the report is
-//! printed rule by rule instead of folded into an error string.
+//! Artifact targets go through `import_compiled`, which verifies the decoded
+//! plan once against the decoded layer table: a verifier refusal is printed
+//! rule by rule, byte-level corruption as a parse rejection. Fresh models
+//! are verified against their own layer table.
 
 use mixmatch_fpga::bridge::FpgaTarget;
 use mixmatch_fpga::device::FpgaDevice;

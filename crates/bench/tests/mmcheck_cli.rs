@@ -55,6 +55,7 @@ fn artifacts() -> (Vec<u8>, Vec<u8>) {
         sizes,
         plan.input_buffer(),
         plan.output_buffer(),
+        None,
     )
     .expect("structurally valid lie");
     let tampered = export_compiled(&CompiledModel::from_parts(

@@ -89,16 +89,6 @@ struct ConvScratch {
     tile: Vec<u32>,
 }
 
-/// How a plan step's input geometry is validated against its layer: a conv
-/// map, a strict `[cols]` vector, or any shape read flat as `cols`
-/// elements (fused GEMM).
-#[derive(Clone, Copy)]
-enum GemmFlavor {
-    Conv,
-    Strict,
-    Flat,
-}
-
 /// The engine's worker pool: the shared process-wide pool by default, or a
 /// privately owned one when the caller pins a thread count.
 enum EnginePool {
@@ -173,12 +163,19 @@ impl BatchEngine {
     /// accounting (pool/add/activation steps are ALU work the GEMM census
     /// does not count).
     ///
+    /// The plan itself was verified when it was built (see
+    /// [`ExecutionPlan::from_parts`]); what is checked here, before any
+    /// fan-out, is its pairing with `model` and the batch.
+    ///
     /// # Errors
     ///
     /// [`QuantError::ShapeMismatch`] when an image is not the plan's input
-    /// shape, [`QuantError::MissingParam`] when the plan references a layer
-    /// index the model does not have (a plan compiled from a different
-    /// model).
+    /// shape; [`QuantError::MissingParam`] (`plan layer #N`) when the plan
+    /// references a layer index the model does not have, and
+    /// [`QuantError::Geometry`] when a Conv/Gemm step disagrees with the
+    /// layer it names (both mean a plan compiled for a different model);
+    /// [`QuantError::ActQuantizer`] / [`QuantError::Overflow`] when a
+    /// layer's GEMM plan cannot run under its activation quantizer.
     pub fn run_plan(
         &self,
         model: &QuantizedModel,
@@ -305,26 +302,20 @@ impl BatchEngine {
     }
 }
 
-/// Validates a plan against a model and batch before any fan-out, and
-/// fetches each referenced layer's GEMM row plan (see [`layer_plan`]).
-///
-/// Debug builds first re-prove the plan's model-independent invariants
-/// (SSA, buffer liveness, weight-free shape flow, reachability).
-/// Structural-only on purpose: plan-vs-model pairing is validated here
-/// with typed errors, which callers rely on. Every image must match the
-/// plan's input shape, and every GEMM step's shape flow must agree with
-/// this model's geometry — a plan paired with the wrong model fails typed
-/// here, never by panic in a worker.
+/// Validates a plan's pairing with a model and batch before any fan-out,
+/// and fetches each referenced layer's GEMM row plan (see [`layer_plan`]).
+/// The plan passed the verifier when it was built, so only what depends on
+/// this model and batch is checked: every image must match the plan's
+/// input shape, and every Conv/Gemm step's output must be what
+/// [`graph::step_dims`] gives for the layer it names — a plan paired with
+/// the wrong model fails typed here, never by panic in a worker. A layer's
+/// deployment form is built from its descriptor's kind, so checking the
+/// descriptor checks the form the workers match on.
 fn validate_and_compile<'m>(
     model: &'m QuantizedModel,
     plan: &ExecutionPlan,
     images: &[Tensor],
 ) -> Result<Vec<Option<&'m GemmPlan>>, QuantError> {
-    #[cfg(debug_assertions)]
-    {
-        let report = crate::verify::verify_plan(plan);
-        debug_assert!(report.is_clean(), "{report}");
-    }
     for image in images {
         if image.dims() != plan.input_dims() {
             return Err(QuantError::ShapeMismatch {
@@ -334,61 +325,29 @@ fn validate_and_compile<'m>(
             });
         }
     }
-    let mut gemm_plans: Vec<Option<&GemmPlan>> = vec![None; model.layers().len()];
-    let mut dims: Vec<Option<&[usize]>> = vec![None; plan.buffer_sizes().len()];
-    dims[plan.input_buffer()] = Some(plan.input_dims());
+    let layers = model.layers();
+    let mut gemm_plans: Vec<Option<&GemmPlan>> = vec![None; layers.len()];
+    let mut dims: Vec<&[usize]> = vec![&[]; plan.buffer_count()];
+    dims[plan.input_buffer()] = plan.input_dims();
     for step in plan.steps() {
-        // Fused steps follow their base op's contract, except a fused
-        // GEMM reads its source flat: any shape with `cols` elements.
-        let resolved = match step.op {
-            StepOp::Conv { layer } | StepOp::FusedConv { layer, .. } => {
-                Some((layer, GemmFlavor::Conv))
-            }
-            StepOp::Gemm { layer } => Some((layer, GemmFlavor::Strict)),
-            StepOp::FusedGemm { layer, .. } => Some((layer, GemmFlavor::Flat)),
-            _ => None,
-        };
-        if let Some((layer, flavor)) = resolved {
-            let l = model
-                .layers()
-                .get(layer)
-                .ok_or_else(|| QuantError::MissingParam {
-                    name: format!("plan layer #{layer}"),
-                })?;
-            let src = dims[step.srcs[0]].unwrap_or(&[]);
-            let flow_ok = match (&l.form, flavor) {
-                (DeployForm::Conv(conv), GemmFlavor::Conv) => {
-                    let geom = conv.geometry();
-                    // `checked_output_size` so a plan whose flow shrank
-                    // a map below the kernel fails typed, not by panic.
-                    src.len() == 3
-                        && src[0] == geom.in_channels
-                        && geom
-                            .checked_output_size(src[1])
-                            .zip(geom.checked_output_size(src[2]))
-                            .is_some_and(|(oh, ow)| step.dims == [geom.out_channels, oh, ow])
+        if let Some(layer) = step.op.layer() {
+            let l = layers.get(layer);
+            match graph::step_dims(&step.op, &[dims[step.srcs[0]]], l.map(|l| &l.desc)) {
+                Ok(want) if want == step.dims => {}
+                Err(e @ QuantError::MissingParam { .. }) => return Err(e),
+                _ => {
+                    return Err(QuantError::Geometry {
+                        context: format!(
+                            "plan step disagrees with layer {} (form or shapes)",
+                            layers[layer].desc.name
+                        ),
+                    })
                 }
-                (DeployForm::Matrix(m), GemmFlavor::Strict) => {
-                    src == [m.cols()] && step.dims == [m.rows()]
-                }
-                (DeployForm::Matrix(m), GemmFlavor::Flat) => {
-                    src.iter().try_fold(1usize, |a, &d| a.checked_mul(d)) == Some(m.cols())
-                        && step.dims == [m.rows()]
-                }
-                _ => false,
-            };
-            if !flow_ok {
-                return Err(QuantError::Geometry {
-                    context: format!(
-                        "plan step disagrees with layer {} (form or shapes)",
-                        l.desc.name
-                    ),
-                });
             }
             // Typed overflow errors surface here, before fan-out.
-            gemm_plans[layer] = Some(layer_plan(l, model.act_quantizer())?);
+            gemm_plans[layer] = Some(layer_plan(&layers[layer], model.act_quantizer())?);
         }
-        dims[step.dst] = Some(&step.dims);
+        dims[step.dst] = &step.dims;
     }
     Ok(gemm_plans)
 }
@@ -467,15 +426,10 @@ fn build_profile(
             let src_elems: usize = step.srcs.iter().map(|&s| elems[s]).sum();
             let dst_elems: usize = step.dims.iter().product();
             elems[step.dst] = dst_elems;
-            let gemm = match step.op {
-                StepOp::Conv { layer }
-                | StepOp::FusedConv { layer, .. }
-                | StepOp::Gemm { layer }
-                | StepOp::FusedGemm { layer, .. } => {
-                    Some((layer, gemm_plans[layer].expect("compiled")))
-                }
-                _ => None,
-            };
+            let gemm = step
+                .op
+                .layer()
+                .map(|layer| gemm_plans[layer].expect("compiled"));
             let label = match step.op {
                 StepOp::Conv { layer } => format!("conv {}", layers[layer].desc.name),
                 StepOp::FusedConv { layer, .. } => {
@@ -492,7 +446,7 @@ fn build_profile(
                 StepOp::Requantize => "requantize".to_string(),
             };
             let (tier, packed_rows, dense_rows) = match gemm {
-                Some((_, g)) => {
+                Some(g) => {
                     let tier = match g.tier() {
                         SimdTier::Avx2 => "avx2",
                         SimdTier::Scalar => "scalar",
@@ -929,6 +883,64 @@ mod tests {
         assert!(matches!(
             engine.run_plan(conv.model(), plan, &[Tensor::zeros(&[3, 8, 8])]),
             Err(QuantError::ActQuantizer { bits: 32, .. })
+        ));
+    }
+
+    #[test]
+    fn run_plan_rejects_plans_compiled_for_another_model() {
+        let mut rng = TensorRng::seed_from(13);
+        let act = ActQuantizer::new(4, 1.0);
+        let mut dense = |widths: &[usize]| {
+            let mut model = Sequential::new();
+            for (i, pair) in widths.windows(2).enumerate() {
+                let name = format!("fc{}", i + 1);
+                model.push(Linear::with_name(&name, pair[0], pair[1], false, &mut rng));
+            }
+            QuantPipeline::from_policy(MsqPolicy::msq_half())
+                .with_act_quantizer(act)
+                .with_input_shape(&widths[..1])
+                .quantize(&mut model)
+                .expect("quantize mlp")
+        };
+        let wider = dense(&[6, 11, 4]);
+        let shorter = dense(&[6, 9]);
+        let mlp = mlp(&mut rng, act);
+        let mut resnet = ResNet::new(ResNetConfig::mini(10), &mut rng);
+        let resnet = QuantPipeline::from_policy(MsqPolicy::msq_half())
+            .with_act_quantizer(act)
+            .with_input_shape(&[3, 8, 8])
+            .quantize(&mut resnet)
+            .expect("quantize resnet-mini");
+        let engine = BatchEngine::with_threads(1);
+        // `plan_of`'s plan on `model`'s layers, through both entry points:
+        // each must refuse typed, before fan-out, with the same error.
+        let refusal = |model: &CompiledModel, plan_of: &CompiledModel| {
+            let plan = plan_of.require_plan().expect("plan");
+            let images = [Tensor::zeros(plan.input_dims())];
+            let plain = engine.run_plan(model.model(), plan, &images).map(|_| ());
+            let profiled = engine
+                .run_plan_profiled(model.model(), plan, &images)
+                .map(|_| ());
+            assert_eq!(plain, profiled);
+            plain.expect_err("mispaired plan ran")
+        };
+        // 6 → 9 → 4 on 6 → 11 → 4: the first GEMM's output disagrees.
+        assert!(matches!(refusal(&wider, &mlp), QuantError::Geometry { .. }));
+        // 6 → 9 → 4 on 6 → 9: the second GEMM names a missing layer.
+        assert_eq!(
+            refusal(&shorter, &mlp),
+            QuantError::MissingParam {
+                name: "plan layer #1".into()
+            }
+        );
+        // Conv steps on dense layers, and GEMM steps on conv layers.
+        assert!(matches!(
+            refusal(&mlp, &resnet),
+            QuantError::Geometry { .. }
+        ));
+        assert!(matches!(
+            refusal(&resnet, &mlp),
+            QuantError::Geometry { .. }
         ));
     }
 

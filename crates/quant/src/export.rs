@@ -20,6 +20,7 @@ use crate::msq::{AlphaGranularity, MsqPolicy, RowQuantInfo, SchemeChoice};
 use crate::pipeline::{CompiledModel, DeployForm, QuantizedLayer, QuantizedModel};
 use crate::rowwise::PartitionRatio;
 use crate::schemes::{sp2_split, Scheme};
+use crate::verify::VerifyReport;
 use mixmatch_nn::lower::{ActKind, PoolKind};
 use mixmatch_nn::quantize::{QuantLayerDesc, QuantLayerKind};
 use mixmatch_tensor::im2col::ConvGeometry;
@@ -259,13 +260,14 @@ pub fn export_compiled(compiled: &CompiledModel) -> Result<Vec<u8>, QuantError> 
 ///
 /// [`QuantError::Artifact`] on **any** malformed stream — truncation,
 /// corrupt section lengths or counts, undecodable weight rows, degenerate
-/// geometry, inconsistent plans. The parser never panics and never
-/// allocates from an untrusted count, so arbitrary bytes are safe to feed
-/// here (the serving stack loads artifacts from callers).
+/// geometry. The parser never panics and never allocates from an
+/// untrusted count, so arbitrary bytes are safe to feed here (the serving
+/// stack loads artifacts from callers).
 ///
 /// [`QuantError::Verify`] when the bytes parse but the decoded plan fails
-/// the static verifier ([`crate::verify`]) against the decoded layer
-/// table — the report pinpoints every violated rule.
+/// the static verifier ([`crate::verify`]), which runs once, against the
+/// decoded layer table, after the whole stream has been read — the report
+/// pinpoints every violated rule.
 pub fn import_compiled(bytes: &[u8]) -> Result<CompiledModel, QuantError> {
     let mut r = Reader { bytes, pos: 0 };
     if r.take(4)? != ARTIFACT_MAGIC {
@@ -289,7 +291,7 @@ pub fn import_compiled(bytes: &[u8]) -> Result<CompiledModel, QuantError> {
         });
     }
     let policy = read_policy(&mut r)?;
-    let plan = read_plan(&mut r)?;
+    let plan_parts = read_plan(&mut r)?;
     let n_layers = r.u32()? as usize;
     let act = crate::integer::ActQuantizer::new(act_bits, act_clip);
     // Counts are untrusted: never pre-allocate from them (a corrupt header
@@ -304,14 +306,11 @@ pub fn import_compiled(bytes: &[u8]) -> Result<CompiledModel, QuantError> {
         });
     }
     let model = QuantizedModel::from_parts(label, policy, act, layers);
-    // Defense in depth behind the byte-level checks above: the plan parsed,
-    // but an adversarial (or optimizer-mangled) artifact can still encode a
-    // structurally valid stream whose IR violates the invariants the engine
-    // executes under. Prove it well-formed before handing back a runnable.
-    let report = crate::verify::verify(&plan, &model.layer_descs());
-    if !report.is_clean() {
-        return Err(QuantError::Verify { report });
-    }
+    // The stream parsed, but an adversarial (or optimizer-mangled) artifact
+    // can still encode a plan whose IR violates the invariants the engine
+    // executes under. Prove it against the layer table it names before
+    // handing back a runnable.
+    let plan = plan_parts(&model.layer_descs()).map_err(|report| QuantError::Verify { report })?;
     Ok(CompiledModel::from_parts(model, Some(plan)))
 }
 
@@ -429,7 +428,11 @@ fn write_plan(w: &mut Writer, plan: &ExecutionPlan) {
     }
 }
 
-fn read_plan(r: &mut Reader) -> Result<ExecutionPlan, QuantError> {
+/// Reads the plan section. The plan is built (and so verified) by the
+/// returned closure, once the layer table it names has been read.
+fn read_plan(
+    r: &mut Reader,
+) -> Result<impl FnOnce(&[QuantLayerDesc]) -> Result<ExecutionPlan, VerifyReport>, QuantError> {
     let input_dims = r.dims()?;
     let output_dims = r.dims()?;
     let buffer_sizes = r.dims()?;
@@ -501,15 +504,17 @@ fn read_plan(r: &mut Reader) -> Result<ExecutionPlan, QuantError> {
             src_values,
         });
     }
-    ExecutionPlan::from_parts(
-        input_dims,
-        output_dims,
-        steps,
-        buffer_sizes,
-        input_buffer,
-        output_buffer,
-    )
-    .map_err(|context| QuantError::Artifact { context })
+    Ok(move |layers: &[QuantLayerDesc]| {
+        ExecutionPlan::from_parts(
+            input_dims,
+            output_dims,
+            steps,
+            buffer_sizes,
+            input_buffer,
+            output_buffer,
+            Some(layers),
+        )
+    })
 }
 
 fn write_epilogue(w: &mut Writer, epilogue: &Epilogue) {

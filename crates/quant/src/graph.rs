@@ -14,11 +14,18 @@
 //!   analysis — a value's buffer is recycled (ping-pong) as soon as its
 //!   last reader has run, so a whole forward pass runs in
 //!   `buffer_count() ≪ values` preallocated buffers with near-zero
-//!   allocation.
+//!   allocation. The optimizer's passes end in the same allocator.
 //!
 //! The planner never aliases a step's output onto a buffer that is still
 //! live — including the step's own inputs — which is what the
 //! `BufferArena` split borrows rely on and what the property tests pin.
+//!
+//! Every plan is built through [`ExecutionPlan::from_parts`], which runs
+//! the static verifier ([`crate::verify`]), so every `ExecutionPlan` value
+//! satisfies the model-independent rules. One shape rule gives a step's
+//! output dims from its op and source dims; compile infers with it, the
+//! verifier checks claimed dims against it, and the engine checks a
+//! plan's pairing with a model by it.
 //!
 //! ```text
 //! QuantizableModel ── lower() ──▶ LoweredGraph ── compile ──▶ ExecutionPlan
@@ -30,8 +37,9 @@
 
 use crate::error::QuantError;
 use crate::integer::ActQuantizer;
+use crate::verify::{self, PlanParts, VerifyReport};
 use mixmatch_nn::lower::{ActKind, LoweredGraph, LoweredOp, PoolKind};
-use mixmatch_nn::quantize::{QuantLayerDesc, QuantLayerKind};
+use mixmatch_nn::quantize::QuantLayerDesc;
 use mixmatch_tensor::Tensor;
 
 /// One compiled operation. `Conv`/`Gemm` reference the quantized layer by
@@ -79,6 +87,20 @@ pub enum StepOp {
         /// Post-ops applied in place, in order.
         epilogue: Epilogue,
     },
+}
+
+impl StepOp {
+    /// The model layer a `Conv`/`Gemm` step (fused or not) runs through;
+    /// `None` for weight-free steps.
+    pub fn layer(&self) -> Option<usize> {
+        match *self {
+            StepOp::Conv { layer }
+            | StepOp::Gemm { layer }
+            | StepOp::FusedConv { layer, .. }
+            | StepOp::FusedGemm { layer, .. } => Some(layer),
+            _ => None,
+        }
+    }
 }
 
 /// One elementwise operation fused into a `FusedConv`/`FusedGemm` epilogue.
@@ -176,26 +198,42 @@ pub struct ExecutionPlan {
 impl ExecutionPlan {
     /// Compiles `graph` against the quantized-layer descriptors (the same
     /// list `QuantizedModel::layers()` was packaged from, in the same
-    /// order) and a concrete input shape.
+    /// order) and a concrete input shape, then assigns buffers and proves
+    /// the plan through [`ExecutionPlan::from_parts`].
     ///
     /// # Errors
     ///
     /// [`QuantError::MissingParam`] when a graph node references a weight
     /// name absent from `layers`; [`QuantError::ShapeMismatch`] /
     /// [`QuantError::Geometry`] when shape inference fails (wrong conv
-    /// input rank/channels, pool window not dividing the map, GEMM width
-    /// mismatch, residual operands of different shapes).
+    /// input rank/channels, a map smaller than its conv kernel, pool window
+    /// not dividing the map, GEMM width mismatch, residual operands of
+    /// different shapes); [`QuantError::Verify`] when the compiled plan
+    /// fails the verifier — a node whose result never reaches the graph
+    /// output fires `dead-step`.
     pub fn compile(
         graph: &LoweredGraph,
         layers: &[QuantLayerDesc],
         input_dims: &[usize],
     ) -> Result<Self, QuantError> {
-        // --- Pass 1: shape inference + layer resolution, per SSA value. ---
         let mut dims_of: Vec<Option<Vec<usize>>> = vec![None; graph.values()];
         dims_of[0] = Some(input_dims.to_vec());
-        let mut ops = Vec::with_capacity(graph.nodes().len());
+        let mut steps = Vec::with_capacity(graph.nodes().len());
         for node in graph.nodes() {
-            let in_dims: Vec<&[usize]> = node
+            let op = match &node.op {
+                LoweredOp::Conv { name } => StepOp::Conv {
+                    layer: resolve_layer(name, layers)?,
+                },
+                LoweredOp::Gemm { name } => StepOp::Gemm {
+                    layer: resolve_layer(name, layers)?,
+                },
+                LoweredOp::Pool(kind) => StepOp::Pool(*kind),
+                LoweredOp::ResidualAdd => StepOp::ResidualAdd,
+                LoweredOp::Activation(kind) => StepOp::Activation(*kind),
+                LoweredOp::Flatten => StepOp::Flatten,
+                LoweredOp::Requantize => StepOp::Requantize,
+            };
+            let srcs: Vec<&[usize]> = node
                 .inputs
                 .iter()
                 .map(|&v| {
@@ -204,102 +242,39 @@ impl ExecutionPlan {
                         .expect("graph is topologically ordered")
                 })
                 .collect();
-            let (op, out) = infer_step(&node.op, &in_dims, layers)?;
-            dims_of[node.output] = Some(out);
-            ops.push(op);
-        }
-
-        // --- Pass 2: liveness — last reader per value. ---
-        let mut last_use = vec![0usize; graph.values()];
-        for (i, node) in graph.nodes().iter().enumerate() {
-            for &v in &node.inputs {
-                last_use[v] = last_use[v].max(i);
-            }
-        }
-        // The graph output must survive the whole plan.
-        last_use[graph.output()] = usize::MAX;
-
-        // --- Pass 3: greedy buffer assignment with recycling. ---
-        let mut buffer_of = vec![usize::MAX; graph.values()];
-        let mut buffer_sizes: Vec<usize> = Vec::new();
-        let mut free: Vec<usize> = Vec::new();
-        let alloc = |value: usize,
-                     free: &mut Vec<usize>,
-                     sizes: &mut Vec<usize>,
-                     dims_of: &[Option<Vec<usize>>]|
-         -> usize {
-            let len: usize = dims_of[value]
-                .as_ref()
-                .expect("shape inferred")
-                .iter()
-                .product();
-            // Reuse the largest free buffer (fewest storage regrows).
-            let slot = match free
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, &b)| sizes[b])
-                .map(|(i, _)| i)
-            {
-                Some(i) => free.swap_remove(i),
-                None => {
-                    sizes.push(0);
-                    sizes.len() - 1
-                }
-            };
-            sizes[slot] = sizes[slot].max(len);
-            slot
-        };
-        buffer_of[0] = alloc(0, &mut free, &mut buffer_sizes, &dims_of);
-        // The network input may be read by no node at all (degenerate
-        // single-value graphs); it is still the output then.
-        let mut steps = Vec::with_capacity(graph.nodes().len());
-        for (i, (node, op)) in graph.nodes().iter().zip(ops).enumerate() {
-            // Allocate the output first: inputs whose last use is this step
-            // are freed only *after* it, so an output never aliases a live
-            // input.
-            let dst = alloc(node.output, &mut free, &mut buffer_sizes, &dims_of);
-            buffer_of[node.output] = dst;
-            let srcs: Vec<usize> = node.inputs.iter().map(|&v| buffer_of[v]).collect();
-            steps.push(PlanStep {
+            let dims = step_dims(&op, &srcs, op.layer().map(|l| &layers[l]))?;
+            dims_of[node.output] = Some(dims.clone());
+            steps.push(ValueStep {
                 op,
-                srcs,
-                dst,
-                dims: dims_of[node.output].clone().expect("shape inferred"),
+                dims,
                 value: node.output,
                 src_values: node.inputs.clone(),
             });
-            for (slot, &v) in node.inputs.iter().enumerate() {
-                // A node may read one value in both input slots (`x + x`);
-                // free its buffer once, not per slot.
-                if last_use[v] == i && !node.inputs[..slot].contains(&v) {
-                    free.push(buffer_of[v]);
-                }
-            }
         }
-        Ok(ExecutionPlan {
+        ValuePlan {
             input_dims: input_dims.to_vec(),
             output_dims: dims_of[graph.output()]
                 .clone()
                 .expect("output shape inferred"),
             steps,
-            buffer_sizes,
-            input_buffer: buffer_of[0],
-            output_buffer: buffer_of[graph.output()],
-        })
+            output_value: graph.output(),
+        }
+        .allocate(Some(layers))
+        .map_err(|report| QuantError::Verify { report })
     }
 
-    /// Reassembles a plan from deserialized parts, re-validating every
-    /// structural invariant the executor relies on — buffer ids in range,
-    /// step arity, no same-step aliasing, output shape consistency, and
-    /// the shape *flow* of every weight-free step (elementwise counts,
-    /// flatten counts, pool rank and tiling) — so a corrupt artifact fails
-    /// typed instead of panicking mid-execution. Conv/Gemm input shapes
-    /// depend on the model the plan is paired with and are re-validated by
-    /// `BatchEngine::run_plan` before any fan-out.
+    /// Assembles a plan from its parts and proves it with the static
+    /// verifier ([`verify::verify_parts`]), so every `ExecutionPlan` value
+    /// satisfies the model-independent rules: SSA discipline, buffer
+    /// safety and exact high-water marks, weight-free shape flow, and
+    /// reachability. With `layers`, each Conv/Gemm step is also checked
+    /// against the layer it names; without, its claimed output is taken at
+    /// face value, and `BatchEngine::run_plan` checks it against the model
+    /// it is paired with before any fan-out.
     ///
     /// # Errors
     ///
-    /// A human-readable description of the first violated invariant.
+    /// The verifier's report when any rule fires.
     pub fn from_parts(
         input_dims: Vec<usize>,
         output_dims: Vec<usize>,
@@ -307,120 +282,22 @@ impl ExecutionPlan {
         buffer_sizes: Vec<usize>,
         input_buffer: usize,
         output_buffer: usize,
-    ) -> Result<Self, String> {
-        let buffers = buffer_sizes.len();
-        if input_buffer >= buffers || output_buffer >= buffers {
-            return Err(format!(
-                "input/output buffer out of range ({input_buffer}/{output_buffer} of {buffers})"
-            ));
-        }
-        // Track each buffer's dims through the step list so shape-flow
-        // violations surface here, not as slice-length panics at run time.
-        // Element counts go through checked multiplication (artifact dims
-        // are untrusted u32s — a corrupt step must not overflow-panic), and
-        // every buffer's high-water mark is recomputed so a corrupt
-        // `buffer_sizes` section can neither under-allocate (slice panics
-        // mid-execution) nor over-allocate (a multi-gigabyte arena per
-        // worker at run time).
-        let count = |d: &[usize]| -> Result<usize, String> {
-            d.iter()
-                .try_fold(1usize, |acc, &x| acc.checked_mul(x))
-                .ok_or_else(|| format!("dims {d:?} overflow the element count"))
-        };
-        let mut dims: Vec<Option<&[usize]>> = vec![None; buffers];
-        let mut high_water = vec![0usize; buffers];
-        dims[input_buffer] = Some(&input_dims);
-        high_water[input_buffer] = count(&input_dims)?;
-        for (i, step) in steps.iter().enumerate() {
-            let arity = match step.op {
-                StepOp::ResidualAdd => 2,
-                _ => 1,
-            };
-            if step.srcs.len() != arity || step.src_values.len() != arity {
-                return Err(format!("step {i} has wrong arity"));
-            }
-            if step.srcs.iter().any(|&s| s >= buffers) || step.dst >= buffers {
-                return Err(format!("step {i} references a buffer out of range"));
-            }
-            if step.srcs.contains(&step.dst) {
-                return Err(format!("step {i} output aliases an input"));
-            }
-            if step.dims.is_empty() {
-                return Err(format!("step {i} has no output dims"));
-            }
-            let src_dims: Vec<&[usize]> = step
-                .srcs
-                .iter()
-                .map(|&s| {
-                    dims[s].ok_or_else(|| format!("step {i} reads buffer {s} before any write"))
-                })
-                .collect::<Result<_, String>>()?;
-            match step.op {
-                StepOp::Activation(_) | StepOp::Requantize => {
-                    if src_dims[0] != step.dims {
-                        return Err(format!("step {i} elementwise shape mismatch"));
-                    }
-                }
-                StepOp::ResidualAdd => {
-                    if src_dims[0] != step.dims || src_dims[1] != step.dims {
-                        return Err(format!("step {i} residual shape mismatch"));
-                    }
-                }
-                StepOp::Flatten => {
-                    if count(src_dims[0])? != count(&step.dims)? {
-                        return Err(format!("step {i} flatten changes the element count"));
-                    }
-                }
-                StepOp::Pool(kind) => {
-                    let d = src_dims[0];
-                    let ok = d.len() == 3
-                        && match kind {
-                            PoolKind::Max { window } | PoolKind::Avg { window } => {
-                                window > 0
-                                    && d[1].checked_rem(window) == Some(0)
-                                    && d[2].checked_rem(window) == Some(0)
-                                    && step.dims == [d[0], d[1] / window, d[2] / window]
-                            }
-                            PoolKind::GlobalAvg => step.dims == [d[0], 1, 1],
-                        };
-                    if !ok {
-                        return Err(format!("step {i} pool shape mismatch"));
-                    }
-                }
-                // Conv/Gemm outputs (fused or not) are taken at face value
-                // here; the engine and the verifier's shape pass re-check
-                // them against the paired model's layer geometry.
-                StepOp::Conv { .. }
-                | StepOp::Gemm { .. }
-                | StepOp::FusedConv { .. }
-                | StepOp::FusedGemm { .. } => {}
-            }
-            high_water[step.dst] = high_water[step.dst].max(count(&step.dims)?);
-            dims[step.dst] = Some(&step.dims);
-        }
-        let final_dims = dims[output_buffer].unwrap_or(&input_dims);
-        if final_dims != output_dims {
-            return Err(format!(
-                "output buffer ends as {final_dims:?}, plan claims {output_dims:?}"
-            ));
-        }
-        // The compiler sets each buffer's size to exactly the largest value
-        // it ever holds; a deserialized plan must agree.
-        for (b, (&claimed, &needed)) in buffer_sizes.iter().zip(&high_water).enumerate() {
-            if claimed != needed {
-                return Err(format!(
-                    "buffer {b} claims {claimed} elements, steps need {needed}"
-                ));
-            }
-        }
-        Ok(ExecutionPlan {
+        layers: Option<&[QuantLayerDesc]>,
+    ) -> Result<Self, VerifyReport> {
+        let plan = ExecutionPlan {
             input_dims,
             output_dims,
             steps,
             buffer_sizes,
             input_buffer,
             output_buffer,
-        })
+        };
+        let report = verify::verify_parts(&PlanParts::from(&plan), layers);
+        if report.is_clean() {
+            Ok(plan)
+        } else {
+            Err(report)
+        }
     }
 
     /// Steps in execution order.
@@ -463,112 +340,272 @@ impl ExecutionPlan {
     /// Indices of the model layers the plan executes, in step order — the
     /// GEMM schedule the cycle simulator walks.
     pub fn gemm_layers(&self) -> impl Iterator<Item = usize> + '_ {
-        self.steps.iter().filter_map(|s| match s.op {
-            StepOp::Conv { layer }
-            | StepOp::Gemm { layer }
-            | StepOp::FusedConv { layer, .. }
-            | StepOp::FusedGemm { layer, .. } => Some(layer),
-            _ => None,
-        })
+        self.steps.iter().filter_map(|s| s.op.layer())
     }
 }
 
-/// Shape inference + layer resolution for one node.
-fn infer_step(
-    op: &LoweredOp,
-    in_dims: &[&[usize]],
-    layers: &[QuantLayerDesc],
-) -> Result<(StepOp, Vec<usize>), QuantError> {
-    match op {
-        LoweredOp::Conv { name } => {
-            let (layer, desc) = resolve_layer(name, layers)?;
-            let geom = match &desc.kind {
-                QuantLayerKind::Conv(g) | QuantLayerKind::DepthwiseConv(g) => *g,
-                _ => {
-                    return Err(QuantError::Geometry {
-                        context: format!("layer {name} is not a convolution"),
-                    })
-                }
+/// Checked element count of a dim list.
+pub(crate) fn element_count(dims: &[usize]) -> Option<usize> {
+    dims.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d))
+}
+
+/// The shape rule: the dims `op` writes when it reads sources of `srcs`
+/// dims. `layer` is the descriptor a Conv/Gemm step names (`None` when the
+/// layer table has no such index). A fused conv follows the conv rule; a
+/// fused GEMM reads its source flat, so any shape holding exactly `cols`
+/// elements feeds it. Compile infers dims with this rule, the verifier
+/// checks each step's claimed dims against it, and the engine checks a
+/// plan-vs-model pairing with it.
+///
+/// # Errors
+///
+/// [`QuantError::MissingParam`] (`plan layer #N`) for a missing layer,
+/// [`QuantError::ShapeMismatch`] for a source of the wrong rank, channel
+/// count or width, and [`QuantError::Geometry`] for a wrong source count,
+/// a layer of the wrong kind or an impossible map (kernel larger than the
+/// padded input, pool window not tiling it, element count overflowing
+/// `usize`).
+pub(crate) fn step_dims(
+    op: &StepOp,
+    srcs: &[&[usize]],
+    layer: Option<&QuantLayerDesc>,
+) -> Result<Vec<usize>, QuantError> {
+    let src = match (op, srcs) {
+        (StepOp::ResidualAdd, [a, b]) => {
+            return if a == b {
+                Ok(a.to_vec())
+            } else {
+                Err(QuantError::ShapeMismatch {
+                    context: "residual operands must share a shape".into(),
+                    expected: a.to_vec(),
+                    got: b.to_vec(),
+                })
             };
-            let d = in_dims[0];
-            if d.len() != 3 || d[0] != geom.in_channels {
-                return Err(QuantError::ShapeMismatch {
-                    context: format!("conv {name} input must be [Cin, H, W]"),
-                    expected: vec![geom.in_channels],
-                    got: d.to_vec(),
-                });
-            }
-            let (oh, ow) = (geom.output_size(d[1]), geom.output_size(d[2]));
-            if oh == 0 || ow == 0 {
+        }
+        (StepOp::ResidualAdd, _) | (_, [_, _, ..] | []) => {
+            return Err(QuantError::Geometry {
+                context: format!("{op:?} cannot read {} sources", srcs.len()),
+            })
+        }
+        (_, [src]) => *src,
+    };
+    let desc = op
+        .layer()
+        .map(|index| {
+            layer.ok_or_else(|| QuantError::MissingParam {
+                name: format!("plan layer #{index}"),
+            })
+        })
+        .transpose()?;
+    match (op, desc) {
+        (StepOp::Conv { .. } | StepOp::FusedConv { .. }, Some(desc)) => {
+            let Some(geom) = desc.geometry() else {
                 return Err(QuantError::Geometry {
-                    context: format!("conv {name} input {d:?} smaller than its kernel"),
+                    context: format!("layer {:?} is not a convolution", desc.name),
+                });
+            };
+            // A corrupt artifact can desynchronize the packed rows/cols
+            // from the geometry they claim.
+            if desc.rows != geom.out_channels || desc.cols != geom.gemm_k() {
+                return Err(QuantError::Geometry {
+                    context: format!(
+                        "layer {:?} packs [{}, {}] weights, geometry wants [{}, {}]",
+                        desc.name,
+                        desc.rows,
+                        desc.cols,
+                        geom.out_channels,
+                        geom.gemm_k()
+                    ),
                 });
             }
-            Ok((StepOp::Conv { layer }, vec![geom.out_channels, oh, ow]))
-        }
-        LoweredOp::Gemm { name } => {
-            let (layer, desc) = resolve_layer(name, layers)?;
-            let d = in_dims[0];
-            if d.len() != 1 || d[0] != desc.cols {
+            if src.len() != 3 || src[0] != geom.in_channels {
                 return Err(QuantError::ShapeMismatch {
-                    context: format!("gemm {name} input must be [cols]"),
-                    expected: vec![desc.cols],
-                    got: d.to_vec(),
+                    context: format!("layer {:?} input must be [Cin, H, W]", desc.name),
+                    expected: vec![geom.in_channels],
+                    got: src.to_vec(),
                 });
             }
-            Ok((StepOp::Gemm { layer }, vec![desc.rows]))
+            match (
+                geom.checked_output_size(src[1]),
+                geom.checked_output_size(src[2]),
+            ) {
+                (Some(oh), Some(ow)) => Ok(vec![geom.out_channels, oh, ow]),
+                _ => Err(QuantError::Geometry {
+                    context: format!(
+                        "layer {:?} input {src:?} smaller than its kernel",
+                        desc.name
+                    ),
+                }),
+            }
         }
-        LoweredOp::Pool(kind) => {
-            let d = in_dims[0];
-            if d.len() != 3 {
+        (StepOp::Gemm { .. } | StepOp::FusedGemm { .. }, Some(desc)) => {
+            if desc.geometry().is_some() {
+                return Err(QuantError::Geometry {
+                    context: format!("layer {:?} is a convolution, not a GEMM", desc.name),
+                });
+            }
+            let fits = match op {
+                StepOp::FusedGemm { .. } => element_count(src) == Some(desc.cols),
+                _ => src == [desc.cols],
+            };
+            if !fits {
+                return Err(QuantError::ShapeMismatch {
+                    context: format!("layer {:?} input must hold [cols]", desc.name),
+                    expected: vec![desc.cols],
+                    got: src.to_vec(),
+                });
+            }
+            Ok(vec![desc.rows])
+        }
+        (StepOp::Pool(kind), _) => {
+            if src.len() != 3 {
                 return Err(QuantError::ShapeMismatch {
                     context: "pool input must be [C, H, W]".into(),
                     expected: vec![3],
-                    got: d.to_vec(),
+                    got: src.to_vec(),
                 });
             }
-            let out = match kind {
+            match *kind {
                 PoolKind::Max { window } | PoolKind::Avg { window } => {
-                    if *window == 0
-                        || !d[1].is_multiple_of(*window)
-                        || !d[2].is_multiple_of(*window)
+                    if window == 0
+                        || !src[1].is_multiple_of(window)
+                        || !src[2].is_multiple_of(window)
                     {
                         return Err(QuantError::Geometry {
-                            context: format!("pool window {window} does not tile {d:?}"),
+                            context: format!("pool window {window} does not tile {src:?}"),
                         });
                     }
-                    vec![d[0], d[1] / window, d[2] / window]
+                    Ok(vec![src[0], src[1] / window, src[2] / window])
                 }
-                PoolKind::GlobalAvg => vec![d[0], 1, 1],
-            };
-            Ok((StepOp::Pool(*kind), out))
-        }
-        LoweredOp::ResidualAdd => {
-            if in_dims[0] != in_dims[1] {
-                return Err(QuantError::ShapeMismatch {
-                    context: "residual operands must share a shape".into(),
-                    expected: in_dims[0].to_vec(),
-                    got: in_dims[1].to_vec(),
-                });
+                PoolKind::GlobalAvg => Ok(vec![src[0], 1, 1]),
             }
-            Ok((StepOp::ResidualAdd, in_dims[0].to_vec()))
         }
-        LoweredOp::Activation(kind) => Ok((StepOp::Activation(*kind), in_dims[0].to_vec())),
-        LoweredOp::Flatten => Ok((StepOp::Flatten, vec![in_dims[0].iter().product()])),
-        LoweredOp::Requantize => Ok((StepOp::Requantize, in_dims[0].to_vec())),
+        (StepOp::Flatten, _) => {
+            element_count(src)
+                .map(|n| vec![n])
+                .ok_or_else(|| QuantError::Geometry {
+                    context: format!("flatten of {src:?} overflows the element count"),
+                })
+        }
+        _ => Ok(src.to_vec()),
     }
 }
 
 /// Looks a weight name up in the packaged layer order.
-fn resolve_layer<'d>(
-    name: &str,
-    layers: &'d [QuantLayerDesc],
-) -> Result<(usize, &'d QuantLayerDesc), QuantError> {
+fn resolve_layer(name: &str, layers: &[QuantLayerDesc]) -> Result<usize, QuantError> {
     layers
         .iter()
-        .enumerate()
-        .find(|(_, d)| d.name == name)
+        .position(|d| d.name == name)
         .ok_or_else(|| QuantError::MissingParam { name: name.into() })
+}
+
+/// One plan step before buffer assignment: pure SSA dataflow.
+#[derive(Debug, Clone)]
+pub(crate) struct ValueStep {
+    pub(crate) op: StepOp,
+    pub(crate) dims: Vec<usize>,
+    pub(crate) value: usize,
+    pub(crate) src_values: Vec<usize>,
+}
+
+/// A plan at the SSA-value level — what compile emits and what optimizer
+/// passes rewrite. [`ValuePlan::allocate`] derives the buffers, so no pass
+/// reasons about arena recycling.
+pub(crate) struct ValuePlan {
+    pub(crate) input_dims: Vec<usize>,
+    pub(crate) output_dims: Vec<usize>,
+    pub(crate) steps: Vec<ValueStep>,
+    /// The SSA value the plan's output buffer holds at the end.
+    pub(crate) output_value: usize,
+}
+
+impl ValuePlan {
+    /// Largest value id the plan names.
+    pub(crate) fn max_value(&self) -> usize {
+        self.steps
+            .iter()
+            .flat_map(|s| s.src_values.iter().chain(std::iter::once(&s.value)))
+            .copied()
+            .max()
+            .unwrap_or(0)
+            .max(self.output_value)
+    }
+
+    /// Greedy liveness-driven buffer assignment, the one allocator every
+    /// plan goes through: allocate a step's output before freeing its
+    /// inputs (so an output never aliases a live input), reuse the largest
+    /// free buffer (fewest storage regrows), free a double-read value once,
+    /// and keep the output value alive to the end. Ends in
+    /// [`ExecutionPlan::from_parts`]. A value read before its definition
+    /// gets an out-of-range buffer id, which the verifier reports.
+    pub(crate) fn allocate(
+        self,
+        layers: Option<&[QuantLayerDesc]>,
+    ) -> Result<ExecutionPlan, VerifyReport> {
+        let n = self.max_value() + 1;
+        let mut last_use = vec![0usize; n];
+        for (i, step) in self.steps.iter().enumerate() {
+            for &v in &step.src_values {
+                last_use[v] = last_use[v].max(i);
+            }
+        }
+        last_use[self.output_value] = usize::MAX;
+
+        let mut buffer_of: Vec<Option<usize>> = vec![None; n];
+        let mut buffer_sizes: Vec<usize> = Vec::new();
+        let mut free: Vec<usize> = Vec::new();
+        let mut alloc = |dims: &[usize], free: &mut Vec<usize>| -> usize {
+            let slot = match free
+                .iter()
+                .enumerate()
+                .max_by_key(|(_, &b)| buffer_sizes[b])
+                .map(|(i, _)| i)
+            {
+                Some(i) => free.swap_remove(i),
+                None => {
+                    buffer_sizes.push(0);
+                    buffer_sizes.len() - 1
+                }
+            };
+            let len = element_count(dims).unwrap_or(usize::MAX);
+            buffer_sizes[slot] = buffer_sizes[slot].max(len);
+            slot
+        };
+        buffer_of[0] = Some(alloc(&self.input_dims, &mut free));
+        let mut steps = Vec::with_capacity(self.steps.len());
+        for (i, step) in self.steps.into_iter().enumerate() {
+            let dst = alloc(&step.dims, &mut free);
+            buffer_of[step.value] = Some(dst);
+            let srcs = step
+                .src_values
+                .iter()
+                .map(|&v| buffer_of[v].unwrap_or(usize::MAX))
+                .collect();
+            for (slot, &v) in step.src_values.iter().enumerate() {
+                if last_use[v] == i && !step.src_values[..slot].contains(&v) {
+                    free.extend(buffer_of[v]);
+                }
+            }
+            steps.push(PlanStep {
+                op: step.op,
+                srcs,
+                dst,
+                dims: step.dims,
+                value: step.value,
+                src_values: step.src_values,
+            });
+        }
+        let output_buffer = buffer_of[self.output_value].unwrap_or(usize::MAX);
+        ExecutionPlan::from_parts(
+            self.input_dims,
+            self.output_dims,
+            steps,
+            buffer_sizes,
+            buffer_of[0].expect("input allocated"),
+            output_buffer,
+            layers,
+        )
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -686,7 +723,9 @@ pub fn pool_into(kind: PoolKind, src: &Tensor, dst: &mut Tensor) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::Rule;
     use mixmatch_nn::lower::GraphBuilder;
+    use mixmatch_nn::quantize::QuantLayerKind;
     use mixmatch_tensor::im2col::ConvGeometry;
 
     fn conv_desc(name: &str, geom: ConvGeometry) -> QuantLayerDesc {
@@ -814,22 +853,23 @@ mod tests {
                 plan.buffer_sizes().to_vec(),
                 plan.input_buffer(),
                 plan.output_buffer(),
+                None,
             )
         };
         // Unmodified parts round-trip.
         assert_eq!(reassemble(|_| {}).expect("valid"), tiny_plan());
         // A flatten step claiming a different element count fails typed.
         let err = reassemble(|steps| steps[3].dims = vec![5]).unwrap_err();
-        assert!(err.contains("flatten"), "{err}");
+        assert!(err.fired(Rule::ShapeFlow), "{err}");
         // An elementwise step changing shape fails typed.
         let err = reassemble(|steps| steps[1].dims = vec![4, 7, 8]).unwrap_err();
-        assert!(err.contains("elementwise"), "{err}");
+        assert!(err.fired(Rule::ShapeFlow), "{err}");
         // A pool step with impossible tiling fails typed.
         let err = reassemble(|steps| {
             steps[2].op = StepOp::Pool(mixmatch_nn::lower::PoolKind::Max { window: 3 });
         })
         .unwrap_err();
-        assert!(err.contains("pool"), "{err}");
+        assert!(err.fired(Rule::ShapeFlow), "{err}");
     }
 
     #[test]
@@ -863,6 +903,30 @@ mod tests {
             ExecutionPlan::compile(&graph, &[], &[1, 8, 8]),
             Err(QuantError::Geometry { .. })
         ));
+
+        let mut g = GraphBuilder::new();
+        let x = g.input();
+        let y = g.conv("c.weight", x);
+        let graph = g.finish(y);
+        let layers = vec![conv_desc("c.weight", ConvGeometry::new(3, 4, 3, 1, 0))];
+        // A 2×2 map is smaller than the unpadded 3×3 kernel.
+        assert!(matches!(
+            ExecutionPlan::compile(&graph, &layers, &[3, 2, 2]),
+            Err(QuantError::Geometry { .. })
+        ));
+    }
+
+    #[test]
+    fn compile_refuses_nodes_that_never_reach_the_output() {
+        let mut g = GraphBuilder::new();
+        let x = g.input();
+        let _dead = g.activation(ActKind::Relu, x);
+        let y = g.requantize(x);
+        let graph = g.finish(y);
+        match ExecutionPlan::compile(&graph, &[], &[4]) {
+            Err(QuantError::Verify { report }) => assert!(report.fired(Rule::DeadStep), "{report}"),
+            other => panic!("expected a dead-step refusal, got {other:?}"),
+        }
     }
 
     #[test]

@@ -30,13 +30,14 @@
 //!   the FPGA crate implements.
 //! * [`error`] — the unified [`error::QuantError`] the pipeline path
 //!   returns instead of panicking.
-//! * [`verify`] — the static plan verifier: a pass pipeline proving SSA
+//! * [`verify`] — the static plan verifier: the one authority proving SSA
 //!   discipline, buffer safety, shape/geometry flow and reachability over
-//!   an [`ExecutionPlan`] without executing it, run at every trust
-//!   boundary (artifact import, model serving, `mmcheck`).
-//! * [`optimize`] — the plan optimizer: epilogue fusion, `Flatten`/copy
-//!   elimination, dead-value elimination and arena re-packing, each pass
-//!   leaving the plan `verify`-clean and its logits bit-identical
+//!   an [`ExecutionPlan`] without executing it, run wherever a plan is
+//!   built ([`ExecutionPlan::from_parts`]) and at model load (artifact
+//!   import, model serving, `mmcheck`).
+//! * [`optimize`] — the plan optimizer: epilogue fusion and `Flatten`/copy
+//!   elimination, each pass leaving the plan `verify`-clean and its
+//!   logits bit-identical
 //!   (on by default in the pipeline; see
 //!   [`pipeline::QuantPipeline::with_plan_optimizer`]).
 //!
@@ -91,4 +92,4 @@ pub use pipeline::{
 };
 pub use rowwise::{PartitionRatio, RowAssignment};
 pub use schemes::{Codebook, Scheme};
-pub use verify::{Diagnostic, Rule, Verifier, VerifyReport};
+pub use verify::{Diagnostic, Rule, VerifyReport};

@@ -7,8 +7,7 @@
 //! its output *per step*, and every `Flatten` burns a ping-pong copy whose
 //! only effect is a shape change `Tensor::reset_to` could absorb. This
 //! module is the optimizer stage between lowering and plan emission —
-//! independent passes over [`PlanParts`] (the same raw form
-//! [`crate::verify`] analyzes):
+//! independent passes over the plan's SSA-value form:
 //!
 //! 1. **[`OptPass::FuseEpilogues`]** — folds elementwise
 //!    `Activation`/`Requantize` consumers into the producing
@@ -18,24 +17,27 @@
 //! 2. **[`OptPass::EliminateCopies`]** — removes `Flatten` copies whose
 //!    readers can take the un-flattened buffer directly (`FusedGemm` reads
 //!    its source flat), plus identity reshapes.
-//! 3. **[`OptPass::EliminateDeadValues`]** — drops steps whose results
-//!    never reach the plan output, then renumbers SSA values densely.
+//!
+//! No pass removes dead steps: every plan is verified where it is built
+//! ([`ExecutionPlan::from_parts`]), and the verifier's `dead-step` rule
+//! refuses a plan with a step whose result never reaches the output. So
+//! no dead step reaches the optimizer, and neither pass creates one.
 //!
 //! Every pass transforms the plan at the SSA-value level and then
-//! re-allocates buffers with the exact liveness-driven greedy allocator
-//! `compile` uses, so the arena always fits the rewritten step list and no
-//! separate repacking pass is needed. Each pass *individually* yields a
-//! plan that is `verify`-clean and produces bit-identical logits (the
-//! epilogue kernels share their arithmetic with the standalone step
-//! kernels — see [`crate::graph::apply_epilogue`]). `tests/plan_optimize.rs`
-//! pins both properties per pass and for the full pipeline.
+//! re-allocates buffers with the liveness-driven allocator `compile` uses,
+//! so the arena always fits the rewritten step list and no separate
+//! repacking pass is needed. Each pass *individually* yields a plan that is
+//! `verify`-clean and produces bit-identical logits (the epilogue kernels
+//! share their arithmetic with the standalone step kernels — see
+//! [`crate::graph::apply_epilogue`]). `tests/plan_optimize.rs` pins both
+//! properties per pass and for the full pipeline.
 
-use crate::graph::{Epilogue, ExecutionPlan, PlanStep, PostOp, StepOp};
+use crate::graph::{Epilogue, ExecutionPlan, PostOp, StepOp, ValuePlan, ValueStep};
 use crate::verify::PlanParts;
 
 /// One optimizer pass. Passes are independent: each maps a valid plan to a
 /// valid plan, in any order — [`optimize`] runs them in the canonical
-/// fuse → copy-elim → DVE order.
+/// fuse → copy-elim order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OptPass {
     /// Fuse elementwise `Activation`/`Requantize` consumers into their
@@ -44,9 +46,6 @@ pub enum OptPass {
     /// Remove `Flatten`/identity-reshape copies by letting readers take
     /// the source buffer directly.
     EliminateCopies,
-    /// Drop steps whose results never reach the output; renumber values
-    /// densely.
-    EliminateDeadValues,
 }
 
 impl OptPass {
@@ -55,17 +54,12 @@ impl OptPass {
         match self {
             OptPass::FuseEpilogues => "fuse-epilogues",
             OptPass::EliminateCopies => "eliminate-copies",
-            OptPass::EliminateDeadValues => "eliminate-dead-values",
         }
     }
 }
 
 /// The canonical full pipeline, in application order.
-pub const ALL_PASSES: [OptPass; 3] = [
-    OptPass::FuseEpilogues,
-    OptPass::EliminateCopies,
-    OptPass::EliminateDeadValues,
-];
+pub const ALL_PASSES: [OptPass; 2] = [OptPass::FuseEpilogues, OptPass::EliminateCopies];
 
 /// Plan measurements after one pass, as [`optimize_with_stats`] reports
 /// them.
@@ -108,204 +102,65 @@ pub fn optimize_with_stats(plan: &ExecutionPlan) -> (ExecutionPlan, Vec<PassStat
     (current, stats)
 }
 
-/// Runs one pass. Same fallback contract as [`optimize`].
+/// Runs one pass. Same fallback contract as [`optimize`]: the rewritten
+/// plan is verified as it is built, and one that fails yields the input.
 pub fn run_pass(plan: &ExecutionPlan, pass: OptPass) -> ExecutionPlan {
-    match run_pass_parts(PlanParts::from(plan), pass) {
+    let mut values = value_plan(plan);
+    match pass {
+        OptPass::FuseEpilogues => fuse_epilogues(&mut values),
+        OptPass::EliminateCopies => eliminate_copies(&mut values),
+    }
+    match values.allocate(None) {
         Ok(optimized) => optimized,
-        Err(e) => {
-            debug_assert!(false, "optimizer pass {} broke the plan: {e}", pass.name());
+        Err(report) => {
+            debug_assert!(
+                false,
+                "optimizer pass {} broke the plan: {report}",
+                pass.name()
+            );
             plan.clone()
         }
     }
 }
 
-/// Runs one pass over raw plan parts (the verifier's borrowed view),
-/// yielding a freshly buffer-allocated plan.
-///
-/// # Errors
-///
-/// The [`ExecutionPlan::from_parts`] re-validation message when the
-/// rewritten step list violates a plan invariant — which the pass
-/// algorithms are designed (and tested) never to do on a verify-clean
-/// input.
-pub fn run_pass_parts(parts: PlanParts<'_>, pass: OptPass) -> Result<ExecutionPlan, String> {
-    let mut plan = ValuePlan::from_parts(&parts);
-    match pass {
-        OptPass::FuseEpilogues => fuse_epilogues(&mut plan),
-        OptPass::EliminateCopies => eliminate_copies(&mut plan),
-        OptPass::EliminateDeadValues => eliminate_dead_values(&mut plan),
-    }
-    plan.allocate()
-}
-
-// ---------------------------------------------------------------------------
-// Value-level working form
-// ---------------------------------------------------------------------------
-
-/// One step stripped of buffer assignments — pure SSA dataflow.
-#[derive(Debug, Clone)]
-struct ValueStep {
-    op: StepOp,
-    dims: Vec<usize>,
-    value: usize,
-    src_values: Vec<usize>,
-}
-
-/// A plan at the SSA-value level. Passes rewrite this form; buffers are
-/// re-derived afterwards by [`ValuePlan::allocate`], so no pass ever has
-/// to reason about arena recycling.
-struct ValuePlan {
-    input_dims: Vec<usize>,
-    output_dims: Vec<usize>,
-    steps: Vec<ValueStep>,
-    /// The SSA value the plan's output buffer holds at the end.
-    output_value: usize,
-}
-
-impl ValuePlan {
-    fn from_parts(parts: &PlanParts<'_>) -> Self {
-        let output_value = parts
-            .steps
+/// `plan` stripped of its buffer assignments.
+fn value_plan(plan: &ExecutionPlan) -> ValuePlan {
+    ValuePlan {
+        input_dims: plan.input_dims().to_vec(),
+        output_dims: plan.output_dims().to_vec(),
+        steps: plan
+            .steps()
             .iter()
-            .rev()
-            .find(|s| s.dst == parts.output_buffer)
-            .map(|s| s.value)
-            .unwrap_or(0);
-        ValuePlan {
-            input_dims: parts.input_dims.to_vec(),
-            output_dims: parts.output_dims.to_vec(),
-            steps: parts
-                .steps
-                .iter()
-                .map(|s| ValueStep {
-                    op: s.op,
-                    dims: s.dims.clone(),
-                    value: s.value,
-                    src_values: s.src_values.clone(),
-                })
-                .collect(),
-            output_value,
+            .map(|s| ValueStep {
+                op: s.op,
+                dims: s.dims.clone(),
+                value: s.value,
+                src_values: s.src_values.clone(),
+            })
+            .collect(),
+        output_value: PlanParts::from(plan).output_value().unwrap_or(0),
+    }
+}
+
+/// Uses per value across all steps.
+fn use_counts(plan: &ValuePlan) -> Vec<usize> {
+    let mut counts = vec![0usize; plan.max_value() + 1];
+    for step in &plan.steps {
+        for &v in &step.src_values {
+            counts[v] += 1;
         }
     }
+    counts
+}
 
-    /// Uses per value across all steps.
-    fn use_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.max_value() + 1];
-        for step in &self.steps {
-            for &v in &step.src_values {
-                counts[v] += 1;
-            }
-        }
-        counts
+/// Dims of each SSA value (input value 0 has the input dims).
+fn dims_of(plan: &ValuePlan) -> Vec<Option<&[usize]>> {
+    let mut dims = vec![None; plan.max_value() + 1];
+    dims[0] = Some(&plan.input_dims[..]);
+    for step in &plan.steps {
+        dims[step.value] = Some(&step.dims[..]);
     }
-
-    fn max_value(&self) -> usize {
-        self.steps
-            .iter()
-            .flat_map(|s| s.src_values.iter().chain(std::iter::once(&s.value)))
-            .copied()
-            .max()
-            .unwrap_or(0)
-            .max(self.output_value)
-    }
-
-    /// Dims of each SSA value (input value 0 has the input dims).
-    fn dims_of(&self) -> Vec<Option<Vec<usize>>> {
-        let mut dims = vec![None; self.max_value() + 1];
-        dims[0] = Some(self.input_dims.clone());
-        for step in &self.steps {
-            dims[step.value] = Some(step.dims.clone());
-        }
-        dims
-    }
-
-    /// Greedy liveness-driven buffer assignment — the same allocator
-    /// `ExecutionPlan::compile` runs (allocate the output before freeing
-    /// inputs, reuse the largest free slot, free a double-read value
-    /// once), finalized through `from_parts` so every structural invariant
-    /// is re-proven.
-    fn allocate(self) -> Result<ExecutionPlan, String> {
-        let dims_of = self.dims_of();
-        let n = dims_of.len();
-        let mut last_use = vec![0usize; n];
-        for (i, step) in self.steps.iter().enumerate() {
-            for &v in &step.src_values {
-                last_use[v] = last_use[v].max(i);
-            }
-        }
-        last_use[self.output_value] = usize::MAX;
-
-        let mut buffer_of = vec![usize::MAX; n];
-        let mut buffer_sizes: Vec<usize> = Vec::new();
-        let mut free: Vec<usize> = Vec::new();
-        let mut alloc = |value: usize, free: &mut Vec<usize>| -> Result<usize, String> {
-            let len = dims_of[value]
-                .as_ref()
-                .ok_or_else(|| format!("value {value} read before any definition"))?
-                .iter()
-                .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-                .ok_or("element count overflow")?;
-            let slot = match free
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, &b)| buffer_sizes[b])
-                .map(|(i, _)| i)
-            {
-                Some(i) => free.swap_remove(i),
-                None => {
-                    buffer_sizes.push(0);
-                    buffer_sizes.len() - 1
-                }
-            };
-            buffer_sizes[slot] = buffer_sizes[slot].max(len);
-            Ok(slot)
-        };
-        buffer_of[0] = alloc(0, &mut free)?;
-        let mut steps = Vec::with_capacity(self.steps.len());
-        for (i, step) in self.steps.iter().enumerate() {
-            let dst = alloc(step.value, &mut free)?;
-            buffer_of[step.value] = dst;
-            let srcs = step
-                .src_values
-                .iter()
-                .map(|&v| {
-                    let b = buffer_of[v];
-                    if b == usize::MAX {
-                        return Err(format!("value {v} read before any definition"));
-                    }
-                    Ok(b)
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            steps.push(PlanStep {
-                op: step.op,
-                srcs,
-                dst,
-                dims: step.dims.clone(),
-                value: step.value,
-                src_values: step.src_values.clone(),
-            });
-            for (slot, &v) in step.src_values.iter().enumerate() {
-                if last_use[v] == i && !step.src_values[..slot].contains(&v) {
-                    free.push(buffer_of[v]);
-                }
-            }
-        }
-        let output_buffer = buffer_of[self.output_value];
-        if output_buffer == usize::MAX {
-            return Err(format!(
-                "output value {} is never defined",
-                self.output_value
-            ));
-        }
-        ExecutionPlan::from_parts(
-            self.input_dims,
-            self.output_dims,
-            steps,
-            buffer_sizes,
-            buffer_of[0],
-            output_buffer,
-        )
-    }
+    dims
 }
 
 // ---------------------------------------------------------------------------
@@ -339,7 +194,7 @@ fn as_post_op(op: &StepOp) -> Option<PostOp> {
 /// fused step).
 fn fuse_epilogues(plan: &mut ValuePlan) {
     loop {
-        let counts = plan.use_counts();
+        let counts = use_counts(plan);
         // Find a consumer step j whose single producer i can absorb it.
         let pair = plan.steps.iter().enumerate().find_map(|(j, consumer)| {
             let post = as_post_op(&consumer.op)?;
@@ -358,32 +213,22 @@ fn fuse_epilogues(plan: &mut ValuePlan) {
         let consumer = plan.steps.remove(j);
         let producer = &mut plan.steps[i];
         producer.op = match producer.op {
-            StepOp::Conv { layer } => {
-                let mut epilogue = Epilogue::new();
-                epilogue.push(post);
-                StepOp::FusedConv { layer, epilogue }
-            }
-            StepOp::Gemm { layer } => {
-                let mut epilogue = Epilogue::new();
-                epilogue.push(post);
-                StepOp::FusedGemm { layer, epilogue }
-            }
-            StepOp::FusedConv {
+            StepOp::Conv { layer } => StepOp::FusedConv {
                 layer,
-                mut epilogue,
-            } => {
-                epilogue.push(post);
-                StepOp::FusedConv { layer, epilogue }
-            }
-            StepOp::FusedGemm {
+                epilogue: Epilogue::new(),
+            },
+            StepOp::Gemm { layer } => StepOp::FusedGemm {
                 layer,
-                mut epilogue,
-            } => {
-                epilogue.push(post);
-                StepOp::FusedGemm { layer, epilogue }
-            }
-            other => other, // unreachable: `fusable` gated this
+                epilogue: Epilogue::new(),
+            },
+            fused => fused,
         };
+        // `fusable` gated this: the producer is now a fused step with room.
+        if let StepOp::FusedConv { epilogue, .. } | StepOp::FusedGemm { epilogue, .. } =
+            &mut producer.op
+        {
+            epilogue.push(post);
+        }
         // The fused step now defines what the consumer defined. Elementwise
         // ops preserve dims, so the producer's dims already match.
         producer.value = consumer.value;
@@ -401,12 +246,12 @@ fn fuse_epilogues(plan: &mut ValuePlan) {
 /// chains.
 fn eliminate_copies(plan: &mut ValuePlan) {
     loop {
-        let dims_of = plan.dims_of();
+        let dims_of = dims_of(plan);
         let candidate = plan.steps.iter().enumerate().find_map(|(f, step)| {
             if !matches!(step.op, StepOp::Flatten) || step.value == plan.output_value {
                 return None;
             }
-            let src_dims = dims_of[step.src_values[0]].as_deref()?;
+            let src_dims = dims_of[step.src_values[0]]?;
             let identity = src_dims == step.dims;
             let all_gemm = plan
                 .steps
@@ -435,37 +280,4 @@ fn eliminate_copies(plan: &mut ValuePlan) {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Pass 3: dead-value elimination
-// ---------------------------------------------------------------------------
-
-/// Drops steps whose results never reach the output value, then renumbers
-/// the surviving SSA values densely (input stays 0; step `k` defines value
-/// `k + 1`) so downstream consumers see a compact value space.
-fn eliminate_dead_values(plan: &mut ValuePlan) {
-    let mut needed = vec![false; plan.max_value() + 1];
-    needed[plan.output_value] = true;
-    for step in plan.steps.iter().rev() {
-        if needed[step.value] {
-            for &v in &step.src_values {
-                needed[v] = true;
-            }
-        }
-    }
-    plan.steps.retain(|s| needed[s.value]);
-
-    let mut remap = vec![usize::MAX; plan.max_value() + 1];
-    remap[0] = 0;
-    for (k, step) in plan.steps.iter().enumerate() {
-        remap[step.value] = k + 1;
-    }
-    for step in &mut plan.steps {
-        step.value = remap[step.value];
-        for v in &mut step.src_values {
-            *v = remap[*v];
-        }
-    }
-    plan.output_value = remap[plan.output_value];
 }

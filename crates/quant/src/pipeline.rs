@@ -214,8 +214,8 @@ impl QuantPipeline {
     }
 
     /// Stage: toggles the plan optimizer ([`crate::optimize`]) applied to
-    /// the compiled execution plan — epilogue fusion, copy elimination,
-    /// dead-value elimination and arena re-packing, all bit-identical. On
+    /// the compiled execution plan — epilogue fusion and copy elimination,
+    /// both bit-identical. On
     /// by default; `with_plan_optimizer(false)` ships the raw lowering
     /// (debugging, step-level diffing via `mmcheck --dump`).
     pub fn with_plan_optimizer(mut self, enabled: bool) -> Self {

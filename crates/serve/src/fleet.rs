@@ -262,15 +262,15 @@ impl FleetServer {
     /// # Errors
     ///
     /// Everything [`ModelServer::load_artifact`] rejects. The artifact
-    /// bytes are imported before any replica swaps, so a malformed
-    /// artifact cannot leave the fleet half-rolled.
+    /// bytes are imported (and so verified, once) before any replica
+    /// swaps, so a malformed artifact cannot leave the fleet half-rolled.
     pub fn load_artifact(&self, name: &str, bytes: &[u8]) -> Result<(), ServeError> {
         let compiled = Arc::new(import_compiled(bytes)?);
         for replica in &self.replicas {
             let cost = compiled
                 .predict_with(replica.target.as_ref(), 1)
                 .map_or(DEFAULT_COST_US, |s| f64::from(s.latency_ms) * 1_000.0);
-            replica.server.load(name, Arc::clone(&compiled))?;
+            replica.server.install(name, Arc::clone(&compiled));
             replica
                 .costs
                 .write()

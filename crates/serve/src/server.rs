@@ -274,6 +274,15 @@ impl ModelServer {
                 report: report.to_string(),
             });
         }
+        self.install(name, compiled);
+        Ok(())
+    }
+
+    /// Registers an already-verified model under `name` (see
+    /// [`ModelServer::load`] for the hot-swap semantics). The artifact
+    /// paths land here: `import_compiled` verified the plan against the
+    /// layer table it decoded, so it is not verified again.
+    pub(crate) fn install(&self, name: &str, compiled: Arc<CompiledModel>) {
         let mut registry = self.registry.lock().expect("registry poisoned");
         match registry.get(name) {
             Some(entry) => {
@@ -289,7 +298,6 @@ impl ModelServer {
                 );
             }
         }
-        Ok(())
     }
 
     /// Restores a serialized `MMCM` artifact (`export_compiled` bytes) and
@@ -300,10 +308,10 @@ impl ModelServer {
     ///
     /// [`ServeError::Inference`] ([`QuantError::Artifact`]) on a malformed
     /// artifact, [`ServeError::Verification`] when the bytes parse but the
-    /// decoded plan fails static verification, plus everything
-    /// [`ModelServer::load`] rejects.
+    /// decoded plan fails the static verifier `import_compiled` runs.
     pub fn load_artifact(&self, name: &str, bytes: &[u8]) -> Result<(), ServeError> {
-        self.load(name, import_compiled(bytes)?)
+        self.install(name, Arc::new(import_compiled(bytes)?));
+        Ok(())
     }
 
     /// Removes `name` from the registry. In-flight requests resolved

@@ -16,12 +16,11 @@
 //! imports successfully is verifier-clean — corruption can never defer its
 //! failure to runtime.
 
-use mixmatch::nn::layers::{Linear, Relu};
+mod common;
+
 use mixmatch::nn::models::{ResNet, ResNetConfig};
-use mixmatch::nn::module::Sequential;
 use mixmatch::prelude::*;
 use mixmatch::quant::export::{export_compiled, import_compiled};
-use mixmatch::quant::graph::StepOp;
 use mixmatch::quant::verify;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -29,18 +28,7 @@ use std::sync::OnceLock;
 /// Dense-only artifact (fast; exercises Gemm plan steps and layer tables).
 fn mlp_artifact() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| {
-        let mut rng = TensorRng::seed_from(1);
-        let mut model = Sequential::new();
-        model.push(Linear::with_name("fc1", 12, 16, true, &mut rng));
-        model.push(Relu::new());
-        model.push(Linear::with_name("fc2", 16, 10, false, &mut rng));
-        let compiled = QuantPipeline::from_policy(MsqPolicy::msq_half())
-            .with_input_shape(&[12])
-            .quantize(&mut model)
-            .expect("quantize mlp");
-        export_compiled(&compiled).expect("export mlp")
-    })
+    BYTES.get_or_init(|| common::mlp_artifact(1))
 }
 
 /// Convolutional artifact (exercises geometry records, Conv/Pool/Residual
@@ -152,41 +140,13 @@ fn valid_artifacts_still_import_after_the_sweeps() {
 }
 
 /// An artifact that is *byte-level* valid but whose plan lies about a GEMM
-/// output: `from_parts` takes Conv/Gemm outputs at face value, so the
-/// byte parser alone would accept it and the failure would surface
-/// mid-batch. The verifier behind the parser rejects it at import with
-/// rule-level diagnostics instead.
+/// output: the plan section parses, and only the verifier, run against the
+/// decoded layer table, can catch the disagreement. It rejects the artifact
+/// at import with rule-level diagnostics instead of letting the failure
+/// surface mid-batch.
 #[test]
 fn byte_valid_but_unverifiable_artifact_is_rejected_with_diagnostics() {
-    let clean = import_compiled(mlp_artifact()).expect("fixture imports");
-    let plan = clean.plan().expect("plan");
-    // Rewrite every GEMM's claimed output (and the weight-free flow after
-    // it) so the stream re-exports as structurally valid bytes whose
-    // geometry disagrees with the packed layer table.
-    let mut steps = plan.steps().to_vec();
-    let mut dims_end: Vec<Vec<usize>> = vec![plan.input_dims().to_vec(); plan.buffer_count()];
-    let mut sizes = vec![0usize; plan.buffer_count()];
-    sizes[plan.input_buffer()] = plan.input_dims().iter().product();
-    for s in &mut steps {
-        match s.op {
-            StepOp::Gemm { .. } => s.dims = vec![s.dims[0] + 1],
-            _ => s.dims = dims_end[s.srcs[0]].clone(),
-        }
-        sizes[s.dst] = sizes[s.dst].max(s.dims.iter().product());
-        dims_end[s.dst] = s.dims.clone();
-    }
-    let lying = ExecutionPlan::from_parts(
-        plan.input_dims().to_vec(),
-        dims_end[plan.output_buffer()].clone(),
-        steps,
-        sizes,
-        plan.input_buffer(),
-        plan.output_buffer(),
-    )
-    .expect("byte-level/structural checks accept the lie");
-    let tampered = CompiledModel::from_parts(clean.into_model(), Some(lying));
-    let bytes = export_compiled(&tampered).expect("re-export");
-    match import_compiled(&bytes) {
+    match import_compiled(&common::unverifiable_mlp_artifact()) {
         Err(QuantError::Verify { report }) => {
             assert!(!report.is_clean());
             assert!(

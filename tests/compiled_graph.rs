@@ -13,6 +13,8 @@
 //! Plus the planner property: buffer recycling never aliases two live
 //! values (proptest over random model configurations).
 
+mod common;
+
 use mixmatch::nn::layers::{Linear, Relu};
 use mixmatch::nn::lower::{ActKind, PoolKind};
 use mixmatch::nn::models::{
@@ -23,7 +25,9 @@ use mixmatch::prelude::*;
 use mixmatch::quant::engine::BatchEngine;
 use mixmatch::quant::export::{export_compiled, import_compiled};
 use mixmatch::quant::graph::{Epilogue, PostOp, StepOp};
+use mixmatch::quant::integer::ActQuantizer;
 use mixmatch::quant::pipeline::DeployForm;
+use mixmatch::tensor::im2col::ConvGeometry;
 use mixmatch::tensor::{Tensor, TensorRng};
 use proptest::prelude::*;
 
@@ -342,6 +346,24 @@ fn export_round_trips_plan_and_weights_into_identical_logits() {
     assert!(matches!(
         import_compiled(&bad_magic),
         Err(QuantError::Artifact { .. })
+    ));
+}
+
+#[test]
+fn compiling_for_a_map_smaller_than_the_kernel_fails_typed() {
+    // A 3×3 unpadded conv cannot read a 2×2 map: compile refuses it with a
+    // typed error instead of panicking in the geometry arithmetic.
+    let mut rng = TensorRng::seed_from(53);
+    let compiled = common::one_conv(
+        ConvGeometry::new(3, 4, 3, 1, 0),
+        MsqPolicy::msq_half(),
+        ActQuantizer::new(4, 1.0),
+        8,
+        &mut rng,
+    );
+    assert!(matches!(
+        compiled.compile(&[3, 2, 2]),
+        Err(QuantError::Geometry { .. })
     ));
 }
 

@@ -8,29 +8,15 @@
 //! eviction and the frame codec may reorder *where* work runs, never
 //! *what* it answers.
 
+mod common;
+
 use mixmatch::fpga::device::FpgaDevice;
-use mixmatch::nn::layers::{Linear, Relu};
-use mixmatch::nn::module::Sequential;
 use mixmatch::prelude::*;
 use mixmatch::quant::engine::BatchEngine;
-use mixmatch::quant::export::{export_compiled, import_compiled};
+use mixmatch::quant::export::import_compiled;
 use mixmatch::serve::health::HealthState;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// A small quantized MLP (`[12] → [10]`) exported to an `MMCM` artifact.
-fn mlp_artifact(seed: u64) -> Vec<u8> {
-    let mut rng = TensorRng::seed_from(seed);
-    let mut model = Sequential::new();
-    model.push(Linear::with_name("fc1", 12, 16, true, &mut rng));
-    model.push(Relu::new());
-    model.push(Linear::with_name("fc2", 16, 10, false, &mut rng));
-    let compiled = QuantPipeline::from_policy(MsqPolicy::msq_half())
-        .with_input_shape(&[12])
-        .quantize(&mut model)
-        .expect("quantize mlp");
-    export_compiled(&compiled).expect("export mlp")
-}
 
 fn unique_images(n: usize, dims: &[usize], seed: u64) -> Vec<Tensor> {
     let mut rng = TensorRng::seed_from(seed);
@@ -75,7 +61,7 @@ fn start_wired_fleet(
 
 #[test]
 fn tcp_responses_are_bit_identical_to_run_plan_across_fleet_sizes() {
-    let artifact = mlp_artifact(1);
+    let artifact = common::mlp_artifact(1);
     const CLIENTS: usize = 3;
     const PER_CLIENT: usize = 8;
     let images = unique_images(CLIENTS * PER_CLIENT, &[12], 2);
@@ -156,7 +142,7 @@ fn tcp_responses_are_bit_identical_to_run_plan_across_fleet_sizes() {
 
 #[test]
 fn killed_replica_mid_load_is_shed_with_zero_corrupted_responses() {
-    let artifact = mlp_artifact(3);
+    let artifact = common::mlp_artifact(3);
     const REQUESTS: usize = 30;
     let images = unique_images(REQUESTS, &[12], 4);
     let refs = references(&artifact, &images);
@@ -207,8 +193,8 @@ fn killed_replica_mid_load_is_shed_with_zero_corrupted_responses() {
 
 #[test]
 fn fleet_wide_hot_swap_drops_nothing_and_every_reply_matches_a_version() {
-    let v1 = mlp_artifact(10);
-    let v2 = mlp_artifact(20);
+    let v1 = common::mlp_artifact(10);
+    let v2 = common::mlp_artifact(20);
     const REQUESTS: usize = 40;
     let images = unique_images(REQUESTS, &[12], 5);
     let refs1 = references(&v1, &images);
@@ -285,5 +271,50 @@ fn wire_errors_are_typed_and_shutdown_verb_stops_the_front_end() {
         "front end still answering after shutdown"
     );
     assert_eq!(fleet.replica_count(), 1);
+    fleet.shutdown();
+}
+
+#[test]
+fn artifact_loads_refuse_an_unverifiable_artifact() {
+    // Byte-valid, but its plan fails the verifier `import_compiled` runs:
+    // every artifact load path refuses it typed and registers nothing.
+    let bytes = common::unverifiable_mlp_artifact();
+    let refused = |err: ServeError, path: &str| match err {
+        ServeError::Verification { report } => {
+            assert!(report.contains("geom-gemm"), "{path}: {report}")
+        }
+        other => panic!("{path}: expected Verification, got {other:?}"),
+    };
+
+    let server = ModelServer::start(ServeConfig::default().with_threads(1));
+    refused(
+        server
+            .load_artifact("mlp", &bytes)
+            .expect_err("server load"),
+        "ModelServer::load_artifact",
+    );
+    assert!(server.models().is_empty());
+    server.shutdown();
+
+    let (fleet, wire) = start_wired_fleet(
+        FleetConfig::default().with_replica_config(ServeConfig::default().with_threads(1)),
+        &[FpgaDevice::XC7Z020, FpgaDevice::XC7Z045],
+    );
+    refused(
+        fleet.load_artifact("mlp", &bytes).expect_err("fleet load"),
+        "FleetServer::load_artifact",
+    );
+    let mut client = FleetClient::connect(wire.local_addr()).expect("connect");
+    refused(
+        client.load("mlp", &bytes).expect_err("wire load"),
+        "FleetClient::load",
+    );
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.replicas.len(), 2);
+    assert!(
+        stats.replicas.iter().all(|r| r.models.is_empty()),
+        "a refused artifact was registered"
+    );
+    wire.stop();
     fleet.shutdown();
 }

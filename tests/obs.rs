@@ -7,13 +7,12 @@
 //! drained events by names they own — other tests in this binary may run
 //! concurrently and emit their own events.
 
-use mixmatch::nn::layers::{Linear, Relu};
-use mixmatch::nn::module::Sequential;
+mod common;
+
 use mixmatch::obs::trace::{self, TraceEvent};
 use mixmatch::obs::{chrome_trace, EventKind, LatencyHistogram, Registry};
 use mixmatch::prelude::*;
 use mixmatch::quant::engine::BatchEngine;
-use mixmatch::quant::export::export_compiled;
 use mixmatch::serve::wire::{read_frame, verb, write_frame};
 use proptest::prelude::*;
 use std::net::TcpStream;
@@ -229,20 +228,6 @@ fn kernel_tier_counters_observe_compiled_rows() {
 
 // ------------------------------------------------------------ METRICS verb
 
-/// A tiny MLP artifact for wire tests.
-fn mlp_artifact() -> Vec<u8> {
-    let mut rng = TensorRng::seed_from(3);
-    let mut model = Sequential::new();
-    model.push(Linear::with_name("fc1", 12, 16, true, &mut rng));
-    model.push(Relu::new());
-    model.push(Linear::with_name("fc2", 16, 10, false, &mut rng));
-    let compiled = QuantPipeline::from_policy(MsqPolicy::msq_half())
-        .with_input_shape(&[12])
-        .quantize(&mut model)
-        .expect("quantize mlp");
-    export_compiled(&compiled).expect("export mlp")
-}
-
 #[test]
 fn metrics_verb_serves_well_formed_prometheus_text() {
     let fleet = Arc::new(FleetServer::start(
@@ -252,7 +237,7 @@ fn metrics_verb_serves_well_formed_prometheus_text() {
     let wire = WireServer::bind("127.0.0.1:0", Arc::clone(&fleet)).expect("bind wire");
     let addr = wire.local_addr();
     let mut client = FleetClient::connect(addr).expect("connect");
-    client.load("mlp", &mlp_artifact()).expect("load");
+    client.load("mlp", &common::mlp_artifact(3)).expect("load");
     let mut rng = TensorRng::seed_from(8);
     for _ in 0..3 {
         let image = Tensor::rand_uniform(&[12], 0.0, 1.0, &mut rng);

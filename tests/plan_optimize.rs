@@ -303,13 +303,6 @@ proptest! {
 #[test]
 fn pass_names_are_stable_and_ordered() {
     let names: Vec<&str> = ALL_PASSES.iter().map(|p| p.name()).collect();
-    assert_eq!(
-        names,
-        vec![
-            "fuse-epilogues",
-            "eliminate-copies",
-            "eliminate-dead-values",
-        ]
-    );
+    assert_eq!(names, vec!["fuse-epilogues", "eliminate-copies"]);
     assert_eq!(OptPass::FuseEpilogues.name(), "fuse-epilogues");
 }

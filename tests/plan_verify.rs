@@ -9,8 +9,8 @@
 //!   proptest-randomized ResNet/MLP/YOLO configurations — verifies with
 //!   zero diagnostics, and so does a plan round-tripped through the `MMCM`
 //!   artifact format.
-//! * **Boundaries**: `ModelServer::load` and the engine's
-//!   `debug_assertions` hook refuse what the verifier refuses.
+//! * **Boundaries**: `ModelServer::load` and `ExecutionPlan::from_parts`
+//!   refuse what the verifier refuses.
 
 use mixmatch::nn::layers::{Linear, Relu};
 use mixmatch::nn::lower::{ActKind, PoolKind};
@@ -21,7 +21,7 @@ use mixmatch::nn::module::Sequential;
 use mixmatch::prelude::*;
 use mixmatch::quant::export::{export_compiled, import_compiled};
 use mixmatch::quant::graph::{Epilogue, PlanStep, PostOp, StepOp};
-use mixmatch::quant::verify::{self, PlanParts, Rule, Verifier, VerifyReport};
+use mixmatch::quant::verify::{self, PlanParts, Rule, VerifyReport};
 use mixmatch::serve::error::ServeError;
 use mixmatch::serve::server::ModelServer;
 use mixmatch::tensor::im2col::ConvGeometry;
@@ -33,7 +33,7 @@ use proptest::prelude::*;
 // ---------------------------------------------------------------------------
 
 /// A hand-buildable plan: the same fields `ExecutionPlan::from_parts`
-/// takes, without its up-front validation.
+/// takes, without the verifier run `from_parts` ends in.
 struct RawPlan {
     input_dims: Vec<usize>,
     output_dims: Vec<usize>,
@@ -45,7 +45,7 @@ struct RawPlan {
 
 impl RawPlan {
     fn verify(&self, layers: Option<&[QuantLayerDesc]>) -> VerifyReport {
-        Verifier::standard().run(
+        verify::verify_parts(
             &PlanParts {
                 input_dims: &self.input_dims,
                 output_dims: &self.output_dims,
@@ -263,6 +263,20 @@ fn shapes_reject_inconsistent_elementwise_flow() {
             &[5],
         )],
         buffer_sizes: vec![4, 5],
+        input_buffer: 0,
+        output_buffer: 1,
+    };
+    assert_fires(&plan.verify(None), Rule::ShapeFlow);
+}
+
+#[test]
+fn shapes_reject_flatten_not_writing_a_vector() {
+    let plan = RawPlan {
+        input_dims: vec![2, 2],
+        output_dims: vec![2, 2],
+        // Same element count, but a flatten writes `[count]`: here `[4]`.
+        steps: vec![step(StepOp::Flatten, &[0], &[0], 1, 1, &[2, 2])],
+        buffer_sizes: vec![4, 4],
         input_buffer: 0,
         output_buffer: 1,
     };
@@ -505,7 +519,6 @@ fn assert_clean(compiled: &CompiledModel) {
     let plan = compiled.plan().expect("carries a plan");
     let report = verify::verify(plan, &compiled.layer_descs());
     assert!(report.is_clean(), "{report}");
-    assert!(verify::verify_plan(plan).is_clean());
 }
 
 #[test]
@@ -537,7 +550,7 @@ fn mini_model_zoo_verifies_clean_including_artifact_round_trip() {
 }
 
 // ---------------------------------------------------------------------------
-// Boundaries: server load and the engine debug hook
+// Boundaries: server load and plan construction
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -574,6 +587,7 @@ fn server_refuses_models_that_fail_verification() {
         sizes,
         plan.input_buffer(),
         plan.output_buffer(),
+        None,
     )
     .expect("structurally fine, geometrically wrong");
     let model = compiled.into_model();
@@ -591,16 +605,11 @@ fn server_refuses_models_that_fail_verification() {
     server.shutdown();
 }
 
-/// `from_parts` re-validates structure and shape flow but takes SSA
-/// provenance (`value`/`src_values`) on faith — exactly the kind of drift
-/// a buggy optimizer pass could introduce. The engine's
-/// `debug_assertions` hook catches it on the first `run_plan` call.
+/// SSA provenance (`value`/`src_values`) drift is exactly the kind a buggy
+/// optimizer pass could introduce. `from_parts` runs the verifier, so such
+/// a plan cannot be built at all: no engine ever sees it.
 #[test]
-#[cfg(debug_assertions)]
-#[should_panic(expected = "ssa-def-before-use")]
-fn engine_debug_hook_panics_on_unverifiable_plans() {
-    use mixmatch::quant::engine::BatchEngine;
-    use mixmatch::tensor::Tensor;
+fn from_parts_refuses_unverifiable_plans() {
     let mut rng = TensorRng::seed_from(31);
     let mut model = Sequential::new();
     model.push(Linear::with_name("fc", 8, 4, false, &mut rng));
@@ -610,18 +619,17 @@ fn engine_debug_hook_panics_on_unverifiable_plans() {
     let plan = compiled.plan().expect("plan");
     let mut steps = plan.steps().to_vec();
     steps[0].src_values = vec![99]; // nothing defines value 99
-    let drifted = ExecutionPlan::from_parts(
+    let report = ExecutionPlan::from_parts(
         plan.input_dims().to_vec(),
         plan.output_dims().to_vec(),
         steps,
         plan.buffer_sizes().to_vec(),
         plan.input_buffer(),
         plan.output_buffer(),
+        None,
     )
-    .expect("from_parts does not check SSA provenance");
-    assert!(verify::verify_plan(&drifted).fired(Rule::SsaDefBeforeUse));
-    let images = vec![Tensor::zeros(&[8])];
-    let _ = BatchEngine::new().run_plan(compiled.model(), &drifted, &images);
+    .expect_err("from_parts verifies SSA provenance");
+    assert!(report.fired(Rule::SsaDefBeforeUse), "{report}");
 }
 
 // ---------------------------------------------------------------------------

@@ -9,29 +9,15 @@
 //! load with typed `ServeError::Overloaded` rejections while every admitted
 //! request still completes correctly.
 
+mod common;
+
 use mixmatch::nn::layers::{Linear, Relu};
 use mixmatch::nn::module::Sequential;
 use mixmatch::prelude::*;
 use mixmatch::quant::engine::BatchEngine;
-use mixmatch::quant::export::export_compiled;
 use mixmatch::quant::export::import_compiled;
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// A small quantized MLP (`[12] → [10]`) exported to an `MMCM` artifact —
-/// servers load it through the same path deployments use.
-fn mlp_artifact(seed: u64) -> Vec<u8> {
-    let mut rng = TensorRng::seed_from(seed);
-    let mut model = Sequential::new();
-    model.push(Linear::with_name("fc1", 12, 16, true, &mut rng));
-    model.push(Relu::new());
-    model.push(Linear::with_name("fc2", 16, 10, false, &mut rng));
-    let compiled = QuantPipeline::from_policy(MsqPolicy::msq_half())
-        .with_input_shape(&[12])
-        .quantize(&mut model)
-        .expect("quantize mlp");
-    export_compiled(&compiled).expect("export mlp")
-}
 
 /// Unique request payloads: no two images share a value pattern, so a
 /// response routed to the wrong caller cannot accidentally match.
@@ -59,7 +45,7 @@ fn references(compiled: &CompiledModel, images: &[Tensor]) -> Vec<Vec<f32>> {
 
 #[test]
 fn concurrent_requests_are_bit_identical_to_run_plan_across_configs() {
-    let artifact = mlp_artifact(1);
+    let artifact = common::mlp_artifact(1);
     let compiled = import_compiled(&artifact).expect("import");
     const THREADS: usize = 8;
     const PER_THREAD: usize = 6;
@@ -174,8 +160,8 @@ fn over_rate_burst_sheds_load_without_corrupting_in_flight_requests() {
 
 #[test]
 fn hot_swap_serves_new_weights_and_keeps_counters() {
-    let a1 = mlp_artifact(10);
-    let a2 = mlp_artifact(20);
+    let a1 = common::mlp_artifact(10);
+    let a2 = common::mlp_artifact(20);
     let m1 = import_compiled(&a1).expect("import v1");
     let m2 = import_compiled(&a2).expect("import v2");
     let image = unique_images(1, &[12], 5).remove(0);
@@ -205,7 +191,7 @@ proptest! {
         max_batch in 1usize..9,
         seed in 0u64..1000,
     ) {
-        let artifact = mlp_artifact(7);
+        let artifact = common::mlp_artifact(7);
         let compiled = import_compiled(&artifact).expect("import");
         let images = unique_images(12, &[12], seed);
         let refs = references(&compiled, &images);
