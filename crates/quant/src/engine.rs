@@ -10,7 +10,8 @@
 //! first use, so the inner loops run on flat integer numerators instead of
 //! re-matching [`WeightCode`](crate::codes::WeightCode) enums per element,
 //! and keeps per-worker activation-code scratch (each GEMM input quantized
-//! once into integer codes, plus one im2col code tile) so the inner loops run
+//! once into integer codes — a conv's into a zero-bordered map — plus one
+//! im2col code tile padded to the SIMD granule) so the inner loops run
 //! allocation-free, with per-call setup amortised across each worker's
 //! share of the batch.
 //!
@@ -62,7 +63,7 @@ use crate::integer::{ActQuantizer, GemmPlan};
 use crate::pipeline::{CompiledModel, DeployForm, QuantizedLayer, QuantizedModel};
 use crate::profile::{PlanProfile, StepProfile};
 use mixmatch_tensor::arena::BufferArena;
-use mixmatch_tensor::im2col::{im2col_patches_slice_into, ConvGeometry};
+use mixmatch_tensor::im2col::{border_map_into, gather_patches, ConvGeometry};
 use mixmatch_tensor::pool::WorkerPool;
 use mixmatch_tensor::simd::SimdTier;
 use mixmatch_tensor::Tensor;
@@ -78,11 +79,15 @@ pub struct BatchRun {
 }
 
 /// Per-worker scratch, reused across a worker's share of the batch:
-/// `codes` holds the current GEMM input (a conv's whole input map, or a
-/// dense layer's vector) quantized once to activation codes, and `tile`
-/// one patch-major im2col tile gathered from those codes, sized to the
+/// `codes` holds the current GEMM input quantized once to activation codes
+/// (a conv's input map as a zero-bordered `[c, h + 2p, w + 2p]` map, or a
+/// dense layer's vector zero-padded to the plan's padded length), and
+/// `tile` one patch-major im2col tile gathered from those codes, each patch
+/// zero-padded to the plan's padded length and the tile sized to the
 /// cache-tiled chain's budget (see [`conv_tile_patches`]) instead of the
-/// whole `[K, patches]` image matrix.
+/// whole `[K, patches]` image matrix. Every border and padding code is
+/// rewritten on each use, so no code from an earlier image, layer or batch
+/// reaches a later one.
 #[derive(Default)]
 struct ConvScratch {
     codes: Vec<u32>,
@@ -484,27 +489,33 @@ fn build_profile(
 }
 
 /// Patch-tile size for the cache-tiled conv chain: about 8 Ki activation
-/// codes (32 KiB of `u32`) per tile, so a tile and the code map it is
-/// gathered from stay in L1/L2 between im2col and GEMM. Rounded to the
-/// kernels' column-block width.
-fn conv_tile_patches(k: usize) -> usize {
+/// codes (32 KiB of `u32`) per tile of patches `kp` codes apart (`K`
+/// padded to the SIMD granule), so a tile and the code map it is gathered
+/// from stay in L1/L2 between im2col and GEMM. Rounded to the kernels'
+/// column-block width.
+fn conv_tile_patches(kp: usize) -> usize {
     const TILE_CODES: usize = 8 * 1024;
-    let raw = (TILE_CODES / k.max(1)).clamp(4, 4096);
+    let raw = (TILE_CODES / kp.max(1)).clamp(4, 4096);
     raw - raw % 4
 }
 
 /// One image through the planned conv datapath: the input map is quantized
-/// once into activation codes, then tiled over the patch space — per tile, a
-/// patch-major im2col slab of codes is gathered and reduced by the packed
-/// integer GEMM while still cache-resident, so the whole-image
+/// once into a zero-bordered code map, then tiled over the patch space —
+/// per tile, each patch is gathered as `k`-long runs of codes (no
+/// image-edge tests: the border holds every off-image position) into a row
+/// padded with zero codes to the plan's padded length `Kp`, and the packed
+/// integer GEMM reduces the tile while it is still cache-resident, over all
+/// `Kp` codes in vector lanes with no scalar tail. The whole-image
 /// `[K, patches]` matrix is never materialized and no element is quantized
 /// twice. Dense convs run all rows per tile; depthwise convs run their
 /// group's single row. When `epilogue` is given its post-ops are applied
 /// inside the GEMM write-back. Bit-identical to
 /// `QuantizedConv::try_forward_image` plus a separate epilogue pass:
-/// quantization is elementwise and pads with `quantize_one(0.0) == 0`,
-/// integer accumulation per output element is exact and complete per tile,
-/// and the epilogue is elementwise.
+/// quantization is elementwise, the border and the padding hold
+/// `quantize_one(0.0) == 0` (what the interpreter's padding reads), a zero
+/// code adds nothing to an accumulator or an add count, integer
+/// accumulation per output element is exact and complete per tile, and the
+/// epilogue is elementwise.
 fn conv_image_planned(
     plan: &GemmPlan,
     geom: &ConvGeometry,
@@ -516,42 +527,43 @@ fn conv_image_planned(
 ) -> OpCounts {
     let (oh, ow) = (out.dims()[1], out.dims()[2]);
     let patches = oh * ow;
-    let kk = geom.gemm_k();
-    let tile = conv_tile_patches(kk);
+    let kp = plan.padded_cols();
+    let tile = conv_tile_patches(kp);
     let d = image.dims();
+    let dims = [d[0], d[1], d[2]];
     let ConvScratch {
         codes,
         tile: tile_codes,
     } = scratch;
-    act.quantize_into(image.as_slice(), codes);
-    tile_codes.resize(tile.min(patches.max(1)) * kk, 0);
+    border_map_into(image.as_slice(), dims, geom.padding, codes, |xs, out| {
+        act.quantize_into(xs, out)
+    });
+    tile_codes.resize(tile.min(patches.max(1)) * kp, 0);
+    let out = out.as_mut_slice();
     let mut ops = OpCounts::default();
     for g in 0..geom.groups {
+        // Dense convs write every row; a depthwise group its own row.
+        let (rows, out) = if geom.groups == 1 {
+            (0..plan.rows(), &mut out[..])
+        } else {
+            (g..g + 1, &mut out[g * patches..])
+        };
         let mut p0 = 0;
         while p0 < patches {
             let count = tile.min(patches - p0);
-            let tile_codes = &mut tile_codes[..count * kk];
-            im2col_patches_slice_into(codes, [d[0], d[1], d[2]], geom, g, p0, count, tile_codes);
-            ops = ops.merge(if geom.groups == 1 {
-                plan.matmul_patches_into(
-                    tile_codes,
-                    count,
-                    act,
-                    out.as_mut_slice(),
-                    patches,
-                    p0,
-                    epilogue,
-                )
-            } else {
-                plan.row_matmul_patches_into(
-                    g,
-                    tile_codes,
-                    count,
-                    act,
-                    &mut out.as_mut_slice()[g * patches + p0..g * patches + p0 + count],
-                    epilogue,
-                )
-            });
+            let tile_codes = &mut tile_codes[..count * kp];
+            gather_patches(codes, dims, geom, g, p0..p0 + count, kp, tile_codes);
+            ops = ops.merge(plan.matmul_tile_into(
+                rows.clone(),
+                tile_codes,
+                kp,
+                count,
+                act,
+                out,
+                patches,
+                p0,
+                epilogue,
+            ));
             p0 += count;
         }
     }
@@ -559,8 +571,9 @@ fn conv_image_planned(
 }
 
 /// One input read flat (any shape with `cols` elements) through a planned
-/// GEMM: quantized once into activation codes and reduced as a single
-/// patch, with `epilogue`'s post-ops applied in the write-back.
+/// GEMM: quantized once into activation codes, zero-padded to the plan's
+/// padded length, and reduced as a single patch, with `epilogue`'s
+/// post-ops applied in the write-back.
 fn gemm_planned(
     plan: &GemmPlan,
     act: &ActQuantizer,
@@ -569,8 +582,13 @@ fn gemm_planned(
     scratch: &mut ConvScratch,
     epilogue: Option<&Epilogue>,
 ) -> OpCounts {
-    act.quantize_into(input.as_slice(), &mut scratch.codes);
-    plan.matmul_patches_into(&scratch.codes, 1, act, out.as_mut_slice(), 1, 0, epilogue)
+    let (cols, kp) = (plan.cols(), plan.padded_cols());
+    let codes = &mut scratch.codes;
+    codes.resize(kp, 0);
+    act.quantize_into(input.as_slice(), &mut codes[..cols]);
+    codes[cols..].fill(0);
+    let rows = 0..plan.rows();
+    plan.matmul_tile_into(rows, codes, kp, 1, act, out.as_mut_slice(), 1, 0, epilogue)
 }
 
 /// One image through every plan step: load the input buffer, execute steps

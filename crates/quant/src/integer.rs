@@ -13,8 +13,9 @@ use crate::graph::{apply_epilogue_one, Epilogue};
 use crate::msq::SchemeBooks;
 use crate::rowwise::RowAssignment;
 use crate::schemes::Scheme;
-use mixmatch_tensor::simd::{self, NibbleLut, PackedKernel, SimdTier, MAX_COL_BLOCK};
+use mixmatch_tensor::simd::{self, NibbleLut, PackedKernel, SimdTier, K_GRANULE, MAX_COL_BLOCK};
 use mixmatch_tensor::Tensor;
+use std::ops::Range;
 
 /// Uniform unsigned quantizer for activations (the paper's n-bit fixed-point
 /// activation format): maps `[0, clip]` to integers `0..=2^bits − 1`.
@@ -48,18 +49,37 @@ impl ActQuantizer {
         self.clip / self.levels() as f32
     }
 
-    /// Quantizes one activation to its integer level.
+    /// Quantizes one activation to its integer level: `x` clamped to
+    /// `[0, clip]`, divided by [`step`](Self::step), and rounded half away
+    /// from zero — bit-identical to `(c / step).round()`, with no libm call
+    /// and no saturating float-to-int cast, so loops over this body
+    /// vectorise.
+    ///
+    /// The scaled value `y` lies in `[0, levels] ⊂ [0, 2^23)`, so
+    /// `m = y + 2^23` holds `2^23 + n` exactly, where `n` is `y` rounded to
+    /// nearest-even: the low bits of `m` are `n`, and `m − 2^23` is `n` as
+    /// an `f32`. `y − n` is exact (the operands are within 0.5 of each
+    /// other), and it is exactly 0.5 only on the ties nearest-even rounded
+    /// down to an even `n`; adding 1 there rounds them away from zero.
     ///
     /// `NaN` maps deterministically to level 0 (the hardware treats a
-    /// malformed activation as silence, not saturation): `NaN.clamp` stays
-    /// `NaN` and the `as u32` cast would only *happen* to produce 0, so the
-    /// mapping is made explicit here rather than left to cast semantics.
+    /// malformed activation as silence, not saturation): `f32::max`
+    /// returns its non-`NaN` operand, so a `NaN` input clamps to 0.0 before
+    /// the divide. Only a degenerate clip (infinite, or so small that
+    /// `step` is subnormal) can make the quotient `NaN` (`0/0`, `∞/∞`) or
+    /// overshoot `levels`; those pin to 0 and `levels`, so every code is at
+    /// most `levels()` and `quantize_one(0.0)` is 0 for every quantizer.
+    #[inline]
     pub fn quantize_one(&self, x: f32) -> u32 {
-        if x.is_nan() {
-            return 0;
-        }
-        let c = x.clamp(0.0, self.clip);
-        (c / self.step()).round() as u32
+        const SHIFT: f32 = 8_388_608.0; // 2^23
+        let y = x.max(0.0).min(self.clip) / self.step();
+        let y = if y >= 0.0 {
+            y.min(self.levels() as f32)
+        } else {
+            0.0
+        };
+        let m = y + SHIFT;
+        (m.to_bits() - SHIFT.to_bits()) + (y - (m - SHIFT) >= 0.5) as u32
     }
 
     /// Quantizes a slice of activations to integers.
@@ -67,12 +87,18 @@ impl ActQuantizer {
         xs.iter().map(|&x| self.quantize_one(x)).collect()
     }
 
-    /// Quantizes into a reusable code buffer (cleared first) — the
+    /// Quantizes `xs` into the equally long code slice `out` — the
     /// allocation-free path batched-inference workers take once per GEMM
-    /// input (a conv's whole input map, or a dense layer's vector).
-    pub fn quantize_into(&self, xs: &[f32], out: &mut Vec<u32>) {
-        out.clear();
-        out.extend(xs.iter().map(|&x| self.quantize_one(x)));
+    /// input (each row of a conv's input map, or a dense layer's vector).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out.len() != xs.len()`.
+    pub fn quantize_into(&self, xs: &[f32], out: &mut [u32]) {
+        assert_eq!(out.len(), xs.len(), "code slice length mismatch");
+        for (o, &x) in out.iter_mut().zip(xs) {
+            *o = self.quantize_one(x);
+        }
     }
 
     /// Dequantizes integers back to real values.
@@ -341,7 +367,9 @@ impl QuantizedMatrix {
     /// dispatch per element. Genuinely 4-bit rows keep their *packed* nibble
     /// form (the SIMD decode-in-register layout), anything wider becomes
     /// dense `i64` numerators, and each row records its worst-case
-    /// accumulator magnitude for [`GemmPlan::check_act`]. See [`GemmPlan`].
+    /// accumulator magnitude for [`GemmPlan::check_act`]. Every row is
+    /// zero-padded to a multiple of [`K_GRANULE`] codes, so the engine's
+    /// padded tiles reduce without a scalar tail. See [`GemmPlan`].
     ///
     /// # Errors
     ///
@@ -455,10 +483,16 @@ fn try_plan_code(code: &WeightCode) -> Option<(i64, OpCounts, bool)> {
 
 /// Compiles one quantized row: numerators, op tally, worst-case accumulator
 /// bound, and — when every code survives a nibble encode/decode round trip
-/// — the packed byte + LUT layout the SIMD kernels decode in-register.
+/// — the packed byte + LUT layout the SIMD kernels decode in-register. The
+/// layout is zero-padded from `K` to the next multiple of [`K_GRANULE`]
+/// weights: zero bytes for a packed row, zero numerators and a zero add
+/// mask for a dense one. Only zero activation codes ever meet the padding,
+/// and a zero code adds 0 to the accumulator and charges no add whatever
+/// the weight, so outputs and op counts are those of the unpadded row.
 fn plan_row(r: usize, row: &QuantRow) -> Result<PlannedRow, QuantError> {
-    let mut nums = Vec::with_capacity(row.codes.len());
-    let mut add_mask = Vec::with_capacity(row.codes.len());
+    let padded = row.codes.len().next_multiple_of(K_GRANULE);
+    let mut nums = Vec::with_capacity(padded);
+    let mut add_mask = Vec::with_capacity(padded);
     let mut base_ops = OpCounts::default();
     let mut sum_abs: u128 = 0;
     for code in &row.codes {
@@ -471,7 +505,11 @@ fn plan_row(r: usize, row: &QuantRow) -> Result<PlannedRow, QuantError> {
     }
     let data = match packed_row_data(row, &nums, &add_mask) {
         Some(packed) => packed,
-        None => RowData::Dense { nums, add_mask },
+        None => {
+            nums.resize(padded, 0);
+            add_mask.resize(padded, 0);
+            RowData::Dense { nums, add_mask }
+        }
     };
     Ok(PlannedRow {
         data,
@@ -524,10 +562,9 @@ fn packed_row_data(row: &QuantRow, nums: &[i64], add_mask: &[u8]) -> Option<RowD
             return None;
         }
     }
-    Some(RowData::Packed {
-        bytes: crate::export::pack_nibbles(&row.codes),
-        lut,
-    })
+    let mut bytes = crate::export::pack_nibbles(&row.codes);
+    bytes.resize(row.codes.len().next_multiple_of(K_GRANULE) / 2, 0);
+    Some(RowData::Packed { bytes, lut })
 }
 
 /// One row of a [`GemmPlan`]: the reduction layout plus the row scale
@@ -545,7 +582,8 @@ struct PlannedRow {
     sum_abs: u128,
 }
 
-/// Physical layout of one planned row's weights.
+/// Physical layout of one planned row's weights, zero-padded to a multiple
+/// of [`K_GRANULE`] weights (see [`plan_row`]).
 #[derive(Debug, Clone)]
 enum RowData {
     /// Genuine 4-bit row: packed nibble bytes (two codes per byte, low
@@ -578,7 +616,8 @@ impl PlannedRow {
         }
     }
 
-    /// `N` contiguous-column reductions against this row, each `len` long.
+    /// `N` contiguous-column reductions against this row, each `len` long
+    /// (at most the row's padded length).
     fn dot_cols<const N: usize>(
         &self,
         kernel: PackedKernel,
@@ -698,8 +737,10 @@ impl GemmPlan {
     ///
     /// # Panics
     ///
-    /// Panics when `patches` is shorter than `n × cols` or the output
-    /// window `[rows, j0 + n]` exceeds the `out` buffer.
+    /// Panics when `patches` is shorter than `n × cols`, any of those codes
+    /// exceeds `act.levels()` (the vector kernels' exactness bound assumes
+    /// codes from `act`), or the output window `[rows, j0 + n]` exceeds the
+    /// `out` buffer.
     #[allow(clippy::too_many_arguments)]
     pub fn matmul_patches_into(
         &self,
@@ -711,24 +752,18 @@ impl GemmPlan {
         j0: usize,
         epilogue: Option<&Epilogue>,
     ) -> OpCounts {
-        assert!(
-            patches.len() >= self.cols * n,
-            "patch tile must hold n × cols activations"
-        );
-        assert!(j0 + n <= out_stride, "tile exceeds output row stride");
-        assert!(
-            self.rows() == 0 || (self.rows() - 1) * out_stride + j0 + n <= out.len(),
-            "output buffer too short for [rows, stride]"
-        );
-        let mut ops = OpCounts::default();
-        for (r, row) in self.rows.iter().enumerate() {
-            let dst = &mut out[r * out_stride + j0..r * out_stride + j0 + n];
-            let adds = row_patches(row, self.tier, patches, self.cols, n, act, dst, epilogue);
-            ops.mults += row.base_ops.mults * n;
-            ops.shifts += row.base_ops.shifts * n;
-            ops.adds += row.base_ops.adds * n + adds;
-        }
-        ops
+        assert_codes_fit(patches, self.cols * n, act);
+        self.matmul_tile_into(
+            0..self.rows(),
+            patches,
+            self.cols,
+            n,
+            act,
+            out,
+            out_stride,
+            j0,
+            epilogue,
+        )
     }
 
     /// Patch-major depthwise primitive: one row against a tile of `n`
@@ -740,7 +775,8 @@ impl GemmPlan {
     /// # Panics
     ///
     /// Panics when `r` is out of range, `patches` is shorter than
-    /// `n × cols`, or `out` is shorter than `n`.
+    /// `n × cols`, any of those codes exceeds `act.levels()`, or `out` is
+    /// shorter than `n`.
     pub fn row_matmul_patches_into(
         &self,
         r: usize,
@@ -751,41 +787,85 @@ impl GemmPlan {
         epilogue: Option<&Epilogue>,
     ) -> OpCounts {
         assert!(r < self.rows(), "row index out of range");
+        assert_codes_fit(patches, self.cols * n, act);
+        self.matmul_tile_into(r..r + 1, patches, self.cols, n, act, out, n, 0, epilogue)
+    }
+
+    /// The engine's entry under both public ones: rows `rows` against `n`
+    /// patches laid `stride` codes apart, where `cols ≤ stride ≤` the
+    /// padded row length and every code between `cols` and `stride` is
+    /// zero. Row `rows.start + i` lands at `out[i·out_stride + j0..][..n]`.
+    /// With `stride` at the padded length (a multiple of [`K_GRANULE`]) the
+    /// vector kernels cover every code with no scalar tail. Codes are not
+    /// scanned: they must not exceed `act.levels()`, which holds for every
+    /// code from [`ActQuantizer::quantize_one`].
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn matmul_tile_into(
+        &self,
+        rows: Range<usize>,
+        patches: &[u32],
+        stride: usize,
+        n: usize,
+        act: &ActQuantizer,
+        out: &mut [f32],
+        out_stride: usize,
+        j0: usize,
+        epilogue: Option<&Epilogue>,
+    ) -> OpCounts {
         assert!(
-            patches.len() >= self.cols * n,
+            (self.cols..=self.padded_cols()).contains(&stride),
+            "patch stride outside cols..=padded cols"
+        );
+        assert!(
+            patches.len() >= stride * n,
             "patch tile must hold n × cols activations"
         );
-        assert!(out.len() >= n, "output must hold n patches");
-        let row = &self.rows[r];
-        let mut ops = OpCounts::default();
-        let adds = row_patches(
-            row,
-            self.tier,
-            patches,
-            self.cols,
-            n,
-            act,
-            &mut out[..n],
-            epilogue,
+        assert!(j0 + n <= out_stride, "tile exceeds output row stride");
+        assert!(
+            rows.is_empty() || (rows.len() - 1) * out_stride + j0 + n <= out.len(),
+            "output buffer too short for [rows, stride]"
         );
-        ops.mults += row.base_ops.mults * n;
-        ops.shifts += row.base_ops.shifts * n;
-        ops.adds += row.base_ops.adds * n + adds;
+        let mut ops = OpCounts::default();
+        for (i, row) in self.rows[rows].iter().enumerate() {
+            let dst = &mut out[i * out_stride + j0..][..n];
+            let adds = row_patches(row, self.tier, patches, stride, n, act, dst, epilogue);
+            ops.mults += row.base_ops.mults * n;
+            ops.shifts += row.base_ops.shifts * n;
+            ops.adds += row.base_ops.adds * n + adds;
+        }
         ops
+    }
+
+    /// Reduction length padded to a multiple of [`K_GRANULE`]: the length of
+    /// every planned row, and the patch stride of the engine's code tiles.
+    pub(crate) fn padded_cols(&self) -> usize {
+        self.cols.next_multiple_of(K_GRANULE)
     }
 }
 
+/// Panics unless each of the first `len` codes is at most `act.levels()` —
+/// the public GEMM entries' guard for the vector kernels, whose 16-bit
+/// lanes and `i32` bound assume codes from `act`.
+fn assert_codes_fit(codes: &[u32], len: usize, act: &ActQuantizer) {
+    let max = codes.iter().take(len).fold(0, |m, &c| m.max(c));
+    assert!(
+        max <= act.levels(),
+        "activation code {max} exceeds the quantizer's {} levels",
+        act.levels()
+    );
+}
+
 /// Shared inner loop of the patch-major entry points: reduces one planned
-/// row against `n` contiguous patches, blocking columns so one in-register
-/// weight decode feeds up to [`MAX_COL_BLOCK`] reductions, and applies the
-/// optional epilogue per element at write-back. Returns the
-/// activation-dependent add count.
+/// row against `n` patches laid `stride` codes apart (each reduction is
+/// `stride` long), blocking columns so one in-register weight decode feeds
+/// up to [`MAX_COL_BLOCK`] reductions, and applies the optional epilogue
+/// per element at write-back. Returns the activation-dependent add count.
 #[allow(clippy::too_many_arguments)]
 fn row_patches(
     row: &PlannedRow,
     tier: SimdTier,
     patches: &[u32],
-    cols: usize,
+    stride: usize,
     n: usize,
     act: &ActQuantizer,
     dst: &mut [f32],
@@ -798,7 +878,7 @@ fn row_patches(
     let scale = row.scale(act);
     let mut adds_total = 0usize;
     let mut j = 0usize;
-    let col = |j: usize| &patches[j * cols..(j + 1) * cols];
+    let col = |j: usize| &patches[j * stride..(j + 1) * stride];
     let write = |slot: &mut f32, acc: i64| {
         let y = acc as f32 * scale;
         *slot = match epilogue {
@@ -807,7 +887,8 @@ fn row_patches(
         };
     };
     while j + MAX_COL_BLOCK <= n {
-        let (accs, adds) = row.dot_cols(kernel, cols, [col(j), col(j + 1), col(j + 2), col(j + 3)]);
+        let (accs, adds) =
+            row.dot_cols(kernel, stride, [col(j), col(j + 1), col(j + 2), col(j + 3)]);
         for t in 0..MAX_COL_BLOCK {
             write(&mut dst[j + t], accs[t]);
             adds_total += adds[t];
@@ -815,7 +896,7 @@ fn row_patches(
         j += MAX_COL_BLOCK;
     }
     while j < n {
-        let (accs, adds) = row.dot_cols(kernel, cols, [col(j)]);
+        let (accs, adds) = row.dot_cols(kernel, stride, [col(j)]);
         write(&mut dst[j], accs[0]);
         adds_total += adds[0];
         j += 1;
@@ -995,6 +1076,97 @@ mod tests {
         let mut buf = vec![99u32; 3];
         act.quantize_into(&[f32::NAN, 0.75, -2.0], &mut buf);
         assert_eq!(buf, vec![0, act.quantize_one(0.75), 0]);
+    }
+
+    /// The quantizer's former body: clamp, divide, libm `round`.
+    fn libm_round_reference(act: &ActQuantizer, x: f32) -> u32 {
+        if x.is_nan() {
+            return 0;
+        }
+        (x.clamp(0.0, act.clip) / act.step()).round() as u32
+    }
+
+    #[test]
+    fn quantize_one_matches_the_libm_round_reference() {
+        let mut special = vec![
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+        ];
+        // NaN payloads (quiet and signalling, both signs) and subnormals.
+        special.extend(
+            [
+                0x7fc0_0000u32,
+                0x7fc0_0001,
+                0x7f80_0001,
+                0x7fff_ffff,
+                0xffc0_0000,
+                0xff80_0001,
+                0x0000_0001,
+                0x0000_0002,
+                0x0000_ffff,
+                0x007f_ffff,
+                0x8000_0001,
+                0x807f_ffff,
+            ]
+            .map(f32::from_bits),
+        );
+        // A stride over every bit pattern.
+        special.extend((0..=u32::MAX).step_by(65_521).map(f32::from_bits));
+        for bits in [2, 4, 8, 15, 16] {
+            for clip in [1e-3, 1.0, 6.0, 1e30] {
+                let act = ActQuantizer::new(bits, clip);
+                // Each level's half-way point and its ±1–2 ulp neighbours:
+                // the inputs whose scaled value sits on or beside a tie.
+                let ties = (0..act.levels()).flat_map(|i| {
+                    let half = ((i as f32 + 0.5) * act.step()).to_bits();
+                    (half - 2..=half + 2).map(f32::from_bits)
+                });
+                for x in special.iter().copied().chain(ties) {
+                    assert_eq!(
+                        act.quantize_one(x),
+                        libm_round_reference(&act, x),
+                        "bits {bits}, clip {clip:e}, x {x:e} ({:#010x})",
+                        x.to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    /// A 4×32 `msq_half` plan, a 4-bit quantizer, and 32 codes of which
+    /// every third is 40000 — far above the quantizer's 15 levels.
+    fn plan_with_codes_above_levels() -> (GemmPlan, ActQuantizer, Vec<u32>) {
+        let mut rng = TensorRng::seed_from(37);
+        let w = Tensor::randn(&[4, 32], &mut rng);
+        let plan = QuantizedMatrix::from_float(&w, &MsqPolicy::msq_half())
+            .try_plan()
+            .unwrap();
+        let codes = (0..32u32)
+            .map(|i| if i % 3 == 0 { 40_000 } else { i % 16 })
+            .collect();
+        (plan, ActQuantizer::new(4, 1.0), codes)
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the quantizer")]
+    fn matmul_patches_into_refuses_codes_above_the_quantizer_levels() {
+        let (plan, act, codes) = plan_with_codes_above_levels();
+        let mut out = vec![0.0f32; 4];
+        plan.matmul_patches_into(&codes, 1, &act, &mut out, 1, 0, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the quantizer")]
+    fn row_matmul_patches_into_refuses_codes_above_the_quantizer_levels() {
+        let (plan, act, codes) = plan_with_codes_above_levels();
+        let mut out = vec![0.0f32; 1];
+        plan.row_matmul_patches_into(2, &codes, 1, &act, &mut out, None);
     }
 
     #[test]

@@ -5,8 +5,18 @@
 //! multiplied by the filter matrix whose **rows are output channels**. That
 //! row-per-filter layout is exactly the weight matrix the paper's Algorithm 2
 //! partitions between SP2 and fixed-point schemes.
+//!
+//! Two layouts serve two consumers. The row-major [`im2col`] /
+//! [`im2col_into`] (`[K, patches]`, bounds-tested per element) feed the
+//! float conv layers and are the test oracle. The patch-major tile path
+//! feeds the integer engine: [`border_map_into`] writes the input once into
+//! a zero-bordered map, so every kernel window lies inside it, and
+//! [`gather_patches`] copies each patch as `(c/groups)·k` runs of `k`
+//! contiguous elements with no image-edge test, into rows of a caller-chosen
+//! stride (the engine pads each patch to the SIMD kernels' granule).
 
 use crate::tensor::Tensor;
+use std::ops::Range;
 
 /// Geometry of a 2-D convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,11 +172,9 @@ pub fn im2col_into(input: &Tensor, geom: &ConvGeometry, group: usize, dst: &mut 
 /// one contiguous K-long reduction per patch, with the same k-index order
 /// (`c·k² + ky·k + kx`) as the row-major form.
 ///
-/// This is the cache-tiling building block: laying each patch out
-/// contiguously lets the GEMM reduce over `K` without a transposed scratch
-/// copy, and a small tile stays in L1/L2 between im2col and GEMM. The
-/// batched engine runs the element-generic core,
-/// [`im2col_patches_slice_into`], on integer activation codes.
+/// A convenience wrapper over the engine's tile path: it writes a bordered
+/// copy of `input` with [`border_map_into`] (one allocation per call) and
+/// runs [`gather_patches`] with stride `K`.
 ///
 /// # Panics
 ///
@@ -182,73 +190,137 @@ pub fn im2col_patches_into(
 ) {
     assert_eq!(input.shape().rank(), 3, "im2col expects [c, h, w] input");
     let d = input.dims();
-    im2col_patches_slice_into(
+    let dims = [d[0], d[1], d[2]];
+    let mut map = Vec::new();
+    border_map_into(
         input.as_slice(),
-        [d[0], d[1], d[2]],
-        geom,
-        group,
-        p0,
-        count,
-        dst,
+        dims,
+        geom.padding,
+        &mut map,
+        |src, out| out.copy_from_slice(src),
     );
+    gather_patches(&map, dims, geom, group, p0..p0 + count, geom.gemm_k(), dst);
 }
 
-/// Element-generic core of [`im2col_patches_into`] over a flat `[c, h, w]`
-/// map `src` of any element type: padding positions read `T::default()`
-/// (zero for `f32` and for integer codes).
+/// Writes the `[c, h, w]` map `src` into `dst` as the zero-bordered
+/// `[c, h + 2·pad, w + 2·pad]` map [`gather_patches`] reads, converting
+/// the interior with `convert` (called on whole rows, or on the whole map
+/// when `pad` is 0). `dst` is resized to fit, and every border element is
+/// rewritten with `T::default()` on each call, so nothing from an earlier
+/// map survives in it.
 ///
 /// # Panics
 ///
-/// Panics when `src` does not hold `c·h·w` elements, channels disagree
-/// with `geom`, the patch range exceeds `out_h·out_w`, or `dst` is shorter
-/// than `count·K`.
-pub fn im2col_patches_slice_into<T: Copy + Default>(
-    src: &[T],
+/// Panics when `src` does not hold `c·h·w` elements.
+pub fn border_map_into<S, T: Copy + Default>(
+    src: &[S],
+    [c, h, w]: [usize; 3],
+    pad: usize,
+    dst: &mut Vec<T>,
+    mut convert: impl FnMut(&[S], &mut [T]),
+) {
+    assert_eq!(src.len(), c * h * w, "bordered map source length mismatch");
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    dst.resize(c * hp * wp, T::default());
+    if pad == 0 {
+        convert(src, dst);
+        return;
+    }
+    for (i, row) in dst.chunks_exact_mut(wp).enumerate() {
+        let (ch, y) = (i / hp, i % hp);
+        match y.checked_sub(pad).filter(|&iy| iy < h) {
+            Some(iy) => {
+                let (left, rest) = row.split_at_mut(pad);
+                let (mid, right) = rest.split_at_mut(w);
+                left.fill(T::default());
+                convert(&src[(ch * h + iy) * w..][..w], mid);
+                right.fill(T::default());
+            }
+            None => row.fill(T::default()),
+        }
+    }
+}
+
+/// Gathers patches `patches` of group `group` from a zero-bordered map (as
+/// written by [`border_map_into`] for an input of dims `[c, h, w]` and
+/// `geom.padding`) into `dst`, one patch per `stride`-long row: the first
+/// `K = (c/groups)·k²` elements of each row in the k-index order
+/// `c·k² + ky·k + kx` of [`im2col`], the rest `T::default()`. Each patch is
+/// `(c/groups)·k` runs of `k` contiguous elements with no image-edge test,
+/// because the border holds every off-image position. The padding past `K`
+/// is rewritten on every call.
+///
+/// # Panics
+///
+/// Panics when `map` is not `c·(h + 2p)·(w + 2p)` long, channels disagree
+/// with `geom`, `group` is out of range, the kernel does not fit, the patch
+/// range exceeds `out_h·out_w`, `stride < K`, or `dst` is shorter than
+/// `patches.len()·stride`.
+pub fn gather_patches<T: Copy + Default>(
+    map: &[T],
     [c, h, w]: [usize; 3],
     geom: &ConvGeometry,
     group: usize,
-    p0: usize,
-    count: usize,
+    patches: Range<usize>,
+    stride: usize,
     dst: &mut [T],
 ) {
-    assert_eq!(src.len(), c * h * w, "im2col source length mismatch");
+    let (hp, wp) = (h + 2 * geom.padding, w + 2 * geom.padding);
+    assert_eq!(map.len(), c * hp * wp, "bordered map length mismatch");
     assert_eq!(c, geom.in_channels, "channel count mismatch");
     assert!(group < geom.groups, "group index out of range");
-    let cg = geom.in_channels / geom.groups;
-    let out_h = geom.output_size(h);
-    let out_w = geom.output_size(w);
-    let k = geom.kernel;
-    let kk = cg * k * k;
+    let total = geom.output_size(h) * geom.output_size(w);
     assert!(
-        p0 + count <= out_h * out_w,
-        "patch range {}..{} exceeds {} patches",
-        p0,
-        p0 + count,
-        out_h * out_w
+        patches.end <= total,
+        "patch range {patches:?} exceeds {total} patches"
     );
-    assert!(dst.len() >= count * kk, "im2col tile destination too short");
-    let tile = &mut dst[..count * kk];
-    tile.fill(T::default());
-    for p in 0..count {
-        let (oy, ox) = ((p0 + p) / out_w, (p0 + p) % out_w);
-        let patch = &mut tile[p * kk..(p + 1) * kk];
-        for cc in 0..cg {
-            let src_c = (group * cg + cc) * h * w;
-            for ky in 0..k {
-                let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
-                if iy < 0 || iy >= h as isize {
-                    continue;
-                }
-                let src_row = src_c + iy as usize * w;
-                for kx in 0..k {
-                    let ix = (ox * geom.stride + kx) as isize - geom.padding as isize;
-                    if ix < 0 || ix >= w as isize {
-                        continue;
-                    }
-                    patch[cc * k * k + ky * k + kx] = src[src_row + ix as usize];
-                }
+    assert!(stride >= geom.gemm_k(), "patch stride shorter than K");
+    assert!(
+        dst.len() >= patches.len() * stride,
+        "im2col tile destination too short"
+    );
+    if stride == 0 {
+        // K = 0 (no input channels): every patch is empty.
+        return;
+    }
+    let dst = &mut dst[..patches.len() * stride];
+    // Compile-time kernel edges cover every conv in this workspace's
+    // models; any other edge runs the same loop with a runtime `k`.
+    match geom.kernel {
+        1 => gather_runs::<T, 1>(map, [hp, wp], geom, group, patches, stride, dst),
+        3 => gather_runs::<T, 3>(map, [hp, wp], geom, group, patches, stride, dst),
+        _ => gather_runs::<T, 0>(map, [hp, wp], geom, group, patches, stride, dst),
+    }
+}
+
+/// The patch gather behind [`gather_patches`], with the kernel edge `K`
+/// fixed at compile time (`K = 0` reads it from `geom` at run time).
+fn gather_runs<T: Copy + Default, const K: usize>(
+    map: &[T],
+    [hp, wp]: [usize; 2],
+    geom: &ConvGeometry,
+    group: usize,
+    patches: Range<usize>,
+    stride: usize,
+    dst: &mut [T],
+) {
+    let k = if K == 0 { geom.kernel } else { K };
+    let cg = geom.in_channels / geom.groups;
+    let s = geom.stride;
+    let out_w = (wp - k) / s + 1;
+    let plane = hp * wp;
+    let base = group * cg * plane;
+    for (row, p) in dst.chunks_exact_mut(stride).zip(patches) {
+        let origin = base + (p / out_w) * s * wp + (p % out_w) * s;
+        let (runs, pad) = row.split_at_mut(cg * k * k);
+        for (cc, window) in runs.chunks_exact_mut(k * k).enumerate() {
+            let at = origin + cc * plane;
+            for (ky, run) in window.chunks_exact_mut(k).enumerate() {
+                let from = at + ky * wp;
+                run.copy_from_slice(&map[from..from + k]);
             }
         }
+        pad.fill(T::default());
     }
 }
 
@@ -378,6 +450,8 @@ mod tests {
             (3, 5, 2, 2, 0, 1),
             (4, 4, 3, 1, 1, 4),
             (1, 7, 3, 2, 1, 1),
+            (2, 7, 5, 3, 2, 1),
+            (3, 4, 1, 2, 0, 3),
         ] {
             let g = ConvGeometry {
                 in_channels: ch,
@@ -403,7 +477,15 @@ mod tests {
                 // Walk the patch space in uneven tiles, including a 1-patch
                 // tile, and compare each element against the row-major form.
                 let mut tile = vec![f32::NAN; 3 * kk];
-                let mut code_tile = vec![u32::MAX; 3 * kk];
+                // The code tile is gathered from a bordered map at a padded
+                // stride, into a buffer full of stale non-zero codes: each
+                // row's padding past K must come back zero.
+                let row_len = kk.next_multiple_of(16);
+                let mut map = vec![u32::MAX; 7];
+                border_map_into(&codes, [ch, h, h], pad, &mut map, |src, out| {
+                    out.copy_from_slice(src)
+                });
+                let mut code_tile = vec![u32::MAX; patches * row_len];
                 let mut p0 = 0;
                 for &count in [1usize, 3, 2, patches].iter() {
                     let count = count.min(patches - p0);
@@ -411,15 +493,15 @@ mod tests {
                         break;
                     }
                     tile.resize(count * kk, f32::NAN);
-                    code_tile.resize(count * kk, u32::MAX);
+                    code_tile.fill(u32::MAX);
                     im2col_patches_into(&x, &g, group, p0, count, &mut tile);
-                    im2col_patches_slice_into(
-                        &codes,
+                    gather_patches(
+                        &map,
                         [ch, h, h],
                         &g,
                         group,
-                        p0,
-                        count,
+                        p0..p0 + count,
+                        row_len,
                         &mut code_tile,
                     );
                     for p in 0..count {
@@ -431,12 +513,19 @@ mod tests {
                                 p0 + p
                             );
                             assert_eq!(
-                                code_tile[p * kk + ki] as f32,
+                                code_tile[p * row_len + ki] as f32,
                                 twin_cols.at(&[ki, p0 + p]),
                                 "code: group {group} patch {} k {ki}",
                                 p0 + p
                             );
                         }
+                        assert!(
+                            code_tile[p * row_len + kk..(p + 1) * row_len]
+                                .iter()
+                                .all(|&c| c == 0),
+                            "code: group {group} patch {} padding",
+                            p0 + p
+                        );
                     }
                     p0 += count;
                 }

@@ -20,13 +20,23 @@
 //!   (two codes per iteration), exact `i64` accumulation. Always available,
 //!   on every architecture; the reference the vector tiers are pinned to.
 //!
+//! The vector tiers consume [`K_GRANULE`] codes per step and reduce each
+//! block of up to [`MAX_COL_BLOCK`] columns in one horizontal pass: an
+//! `hadd` tree over the columns' accumulators and add counts together, and
+//! one store. A reduction whose length is not a multiple of [`K_GRANULE`]
+//! finishes in the scalar loop. The batched engine pads its code tiles and
+//! compiled weight rows to the granule with zero codes, so only unpadded
+//! public calls ever run that tail.
+//!
 //! **Exactness.** Integer addition is associative and commutative, so lane
 //! splitting and horizontal reduction produce the *same* accumulator value
 //! as the sequential scalar loop — bit-identical, not approximately equal —
 //! provided no intermediate wraps. The vector tiers accumulate in 32-bit
 //! lanes, so callers must prove `Σ|numerator| × max_activation ≤ i32::MAX`
 //! per row before selecting them; [`select_kernel`] encodes exactly that
-//! rule and falls back to [`PackedKernel::Scalar`] otherwise.
+//! rule and falls back to [`PackedKernel::Scalar`] otherwise. Every partial
+//! sum — a lane, or a pair of lanes in the `hadd` tree — adds a subset of
+//! the row's products, so the same bound covers it.
 //!
 //! Dispatch is resolved once per process ([`active_tier`]): AVX2 when the
 //! CPU reports it, scalar otherwise, and scalar unconditionally when the
@@ -161,11 +171,17 @@ impl NibbleLut {
 /// decode feeds several reductions.
 pub const MAX_COL_BLOCK: usize = 4;
 
+/// Reduction-length granule of the vector kernels: a `len` that is a
+/// multiple of this many codes runs entirely in vector lanes, with no
+/// scalar tail.
+pub const K_GRANULE: usize = 16;
+
 /// Computes `N` packed-row dot products sharing one weight decode:
 /// `out[j] = (Σ_k cols[j][k] × num(code_k), Σ_k addable(code_k) & (cols[j][k] != 0))`.
 ///
 /// `packed` holds `len` 4-bit codes, two per byte, low nibble first. Every
-/// column slice must hold at least `len` activations. The vector kernels
+/// column slice must hold at least `len` activations, and `N` is at most
+/// [`MAX_COL_BLOCK`] (checked at compile time). The vector kernels
 /// additionally require the caller-proven `i32` accumulator bound (see
 /// [`select_kernel`]); [`PackedKernel::I16x16`] also requires every
 /// activation ≤ [`MADD_MAX_LEVEL`]. A vector kernel requested on hardware
@@ -183,6 +199,7 @@ pub fn packed_dot_cols<const N: usize>(
     len: usize,
     cols: [&[u32]; N],
 ) -> ([i64; N], [usize; N]) {
+    const { assert!(N <= MAX_COL_BLOCK, "column block wider than MAX_COL_BLOCK") };
     assert!(packed.len() * 2 >= len, "packed stream shorter than len");
     for col in &cols {
         assert!(col.len() >= len, "activation column shorter than len");
@@ -302,13 +319,59 @@ mod avx2 {
         _mm256_permute4x64_epi64::<0b11011000>(_mm256_packus_epi32(a, b))
     }
 
-    /// Horizontal sum of 8 × `i32` lanes into an exact `i64`.
+    /// One horizontal pass over a block of up to 4 columns: the 8 `i32`
+    /// lanes of each column's accumulator and add count are summed by an
+    /// `hadd` tree (missing columns read as zero) and leave in one store.
+    /// Exact under the row's `i32` bound: every partial sum adds a subset
+    /// of the column's products.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn hsum_i32(v: __m256i) -> i64 {
+    unsafe fn hsum_block<const N: usize>(
+        acc: [__m256i; N],
+        cnt: [__m256i; N],
+    ) -> ([i64; N], [usize; N]) {
+        let zero = _mm256_setzero_si256();
+        let at = |v: &[__m256i; N], j: usize| if j < N { v[j] } else { zero };
+        // Per 128-bit half: [Σ col0, Σ col1, Σ col2, Σ col3] over 4 lanes.
+        let a = _mm256_hadd_epi32(
+            _mm256_hadd_epi32(at(&acc, 0), at(&acc, 1)),
+            _mm256_hadd_epi32(at(&acc, 2), at(&acc, 3)),
+        );
+        let c = _mm256_hadd_epi32(
+            _mm256_hadd_epi32(at(&cnt, 0), at(&cnt, 1)),
+            _mm256_hadd_epi32(at(&cnt, 2), at(&cnt, 3)),
+        );
+        // [a.lo + a.hi, c.lo + c.hi]: four accumulators, then four counts.
+        let sums = _mm256_add_epi32(
+            _mm256_permute2x128_si256::<0x20>(a, c),
+            _mm256_permute2x128_si256::<0x31>(a, c),
+        );
         let mut lanes = [0i32; 8];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, v);
-        lanes.iter().map(|&x| x as i64).sum()
+        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, sums);
+        (
+            std::array::from_fn(|j| lanes[j] as i64),
+            std::array::from_fn(|j| lanes[4 + j] as usize),
+        )
+    }
+
+    /// Adds the scalar reduction of codes `k..len` — only reached when
+    /// `len` is not a multiple of [`super::K_GRANULE`].
+    #[inline]
+    fn add_tail<const N: usize>(
+        sums: &mut ([i64; N], [usize; N]),
+        lut: &NibbleLut,
+        packed: &[u8],
+        k: usize,
+        len: usize,
+        cols: [&[u32]; N],
+    ) {
+        if k < len {
+            for j in 0..N {
+                let (tail_acc, tail_adds) = super::scalar_dot_range(lut, packed, k, len, cols[j]);
+                sums.0[j] += tail_acc;
+                sums.1[j] += tail_adds;
+            }
+        }
     }
 
     /// 16-lane kernel: `madd_epi16` over `i16` numerators × `u16`
@@ -373,16 +436,9 @@ mod avx2 {
             }
             k += 16;
         }
-        let mut accs = [0i64; N];
-        let mut adds = [0usize; N];
-        for j in 0..N {
-            accs[j] = hsum_i32(acc[j]);
-            adds[j] = hsum_i32(cnt[j]) as usize;
-            let (tail_acc, tail_adds) = super::scalar_dot_range(lut, packed, k, len, cols[j]);
-            accs[j] += tail_acc;
-            adds[j] += tail_adds;
-        }
-        (accs, adds)
+        let mut sums = hsum_block(acc, cnt);
+        add_tail(&mut sums, lut, packed, k, len, cols);
+        sums
     }
 
     /// 8-lane kernel: `mullo_epi32` over `i32` numerators × `u32`
@@ -430,16 +486,9 @@ mod avx2 {
             }
             k += 16;
         }
-        let mut accs = [0i64; N];
-        let mut adds = [0usize; N];
-        for j in 0..N {
-            accs[j] = hsum_i32(acc[j]);
-            adds[j] = hsum_i32(cnt[j]) as usize;
-            let (tail_acc, tail_adds) = super::scalar_dot_range(lut, packed, k, len, cols[j]);
-            accs[j] += tail_acc;
-            adds[j] += tail_adds;
-        }
-        (accs, adds)
+        let mut sums = hsum_block(acc, cnt);
+        add_tail(&mut sums, lut, packed, k, len, cols);
+        sums
     }
 }
 

@@ -106,13 +106,14 @@ proptest! {
         seed in 0u64..200,
         cin in 1usize..4,
         cout in 1usize..5,
-        stride in 1usize..3,
-        pad in 0usize..2,
+        kernel in 1usize..6,
+        stride in 1usize..4,
+        pad in 0usize..3,
         hw in 5usize..8,
         threads in 1usize..4,
     ) {
         let mut rng = TensorRng::seed_from(seed);
-        let geom = ConvGeometry::new(cin, cout, 3, stride, pad);
+        let geom = ConvGeometry::new(cin, cout, kernel, stride, pad);
         let act = ActQuantizer::new(4, 1.1);
         let compiled = one_conv(geom, MsqPolicy::msq_optimal(), act, hw, &mut rng);
         let conv = conv_of(&compiled);

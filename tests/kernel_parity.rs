@@ -168,6 +168,8 @@ fn engine_conv_parity_with_nan_inf_images_at_1_2_host_threads() {
         ConvGeometry::new(2, 5, 3, 2, 0),
         ConvGeometry::new(3, 4, 3, 2, 1),
         ConvGeometry::new(4, 6, 1, 1, 0),
+        ConvGeometry::new(2, 5, 5, 1, 2),
+        ConvGeometry::new(3, 4, 2, 3, 0),
         ConvGeometry::depthwise(4, 3, 1, 1),
     ] {
         // The engine's activation codes at 4, 8, 15 (the 16-lane madd
