@@ -51,7 +51,9 @@ pub enum ActKind {
 
 impl ActKind {
     /// Applies the activation to one value — the single definition both the
-    /// float layers and the plan executor share.
+    /// float layers and the plan executor share. Inlined across crates, so
+    /// a loop over it with a fixed kind vectorises.
+    #[inline]
     pub fn apply(&self, x: f32) -> f32 {
         match self {
             ActKind::Relu => x.max(0.0),

@@ -10,10 +10,10 @@
 //! first use, so the inner loops run on flat integer numerators instead of
 //! re-matching [`WeightCode`](crate::codes::WeightCode) enums per element,
 //! and keeps per-worker activation-code scratch (each GEMM input quantized
-//! once into integer codes — a conv's into a zero-bordered map — plus one
-//! im2col code tile padded to the SIMD granule) so the inner loops run
-//! allocation-free, with per-call setup amortised across each worker's
-//! share of the batch.
+//! once into `u16` codes — a conv's into a zero-bordered map — plus one
+//! k-pair code tile the GEMM kernel reads, gathered straight from those
+//! codes) so the inner loops run allocation-free, with per-call setup
+//! amortised across each worker's share of the batch.
 //!
 //! Every conv and GEMM step is **bit-identical** to the interpreted
 //! single-image kernels ([`QuantizedConv::forward_image`] /
@@ -59,13 +59,13 @@
 use crate::codes::OpCounts;
 use crate::error::QuantError;
 use crate::graph::{self, Epilogue, ExecutionPlan, StepOp};
-use crate::integer::{ActQuantizer, GemmPlan};
+use crate::integer::{ActQuantizer, GemmPlan, RowKernel};
 use crate::pipeline::{CompiledModel, DeployForm, QuantizedLayer, QuantizedModel};
 use crate::profile::{PlanProfile, StepProfile};
 use mixmatch_tensor::arena::BufferArena;
-use mixmatch_tensor::im2col::{border_map_into, gather_patches, ConvGeometry};
+use mixmatch_tensor::im2col::{border_map_into, gather_pairs, ConvGeometry};
 use mixmatch_tensor::pool::WorkerPool;
-use mixmatch_tensor::simd::SimdTier;
+use mixmatch_tensor::simd::{LANES, PATCH_BLOCK};
 use mixmatch_tensor::Tensor;
 
 /// Result of one batched pass: per-input outputs plus the aggregate
@@ -79,19 +79,21 @@ pub struct BatchRun {
 }
 
 /// Per-worker scratch, reused across a worker's share of the batch:
-/// `codes` holds the current GEMM input quantized once to activation codes
-/// (a conv's input map as a zero-bordered `[c, h + 2p, w + 2p]` map, or a
-/// dense layer's vector zero-padded to the plan's padded length), and
-/// `tile` one patch-major im2col tile gathered from those codes, each patch
-/// zero-padded to the plan's padded length and the tile sized to the
-/// cache-tiled chain's budget (see [`conv_tile_patches`]) instead of the
-/// whole `[K, patches]` image matrix. Every border and padding code is
-/// rewritten on each use, so no code from an earlier image, layer or batch
+/// `codes` holds the current GEMM input quantized once to `u16` activation
+/// codes (a conv's input map as a zero-bordered `[c, h + 2p, w + 2p]` map,
+/// or a dense layer's vector); `tile` one k-pair tile of those codes in the
+/// GEMM kernel's layout (`[Kp/2][np]` words, two codes each; see
+/// [`mixmatch_tensor::simd`]), sized to the cache-tiled chain's budget (see
+/// [`conv_tile_patches`]) instead of the whole `[K, patches]` image
+/// matrix; and `nonzero` the tile's per-`k` count of non-zero codes, from
+/// which the GEMM charges SP2 adds. Every border, padding lane and count is
+/// rewritten on each use, so nothing from an earlier image, layer or batch
 /// reaches a later one.
 #[derive(Default)]
 struct ConvScratch {
-    codes: Vec<u32>,
+    codes: Vec<u16>,
     tile: Vec<u32>,
+    nonzero: Vec<u32>,
 }
 
 /// The engine's worker pool: the shared process-wide pool by default, or a
@@ -371,46 +373,59 @@ fn layer_plan<'m>(
         .gemm
         .get_or_init(|| {
             let gemm = layer.matrix().try_plan()?;
-            gemm.check_act(match &layer.form {
-                DeployForm::Conv(conv) => conv.act_quantizer(),
-                DeployForm::Matrix(_) => model_act,
-            })?;
-            note_kernel_rows(&gemm);
+            let act = layer_act(layer, model_act);
+            gemm.check_act(act)?;
+            note_kernel_rows(&gemm, act);
             Ok(gemm)
         })
         .as_ref()
         .map_err(Clone::clone)
 }
 
-/// Reports a freshly compiled GEMM plan's row layout to the global
-/// metrics registry as `mixmatch_kernel_rows_total{tier=...}`: packed
-/// rows under the selected SIMD tier, dense-fallback rows under `dense`.
-/// It counts compiles, so a plan run's layers count once per loaded model.
-/// This makes a silent drop to scalar dispatch (a `MIXMATCH_FORCE_SCALAR`
-/// leak, a CPU without AVX2) observable on the metrics page.
-fn note_kernel_rows(plan: &GemmPlan) {
-    let reg = mixmatch_obs::Registry::global();
-    let tier = match plan.tier() {
-        SimdTier::Avx2 => "avx2",
-        SimdTier::Scalar => "scalar",
-    };
-    let packed = plan.packed_rows() as u64;
-    let dense = plan.rows() as u64 - packed;
-    if packed > 0 {
-        reg.counter("mixmatch_kernel_rows_total", &[("tier", tier)])
-            .add(packed);
+/// The activation quantizer `layer`'s GEMM reads codes from: a conv's own,
+/// else the model-wide `model_act`.
+fn layer_act<'m>(layer: &'m QuantizedLayer, model_act: &'m ActQuantizer) -> &'m ActQuantizer {
+    match &layer.form {
+        DeployForm::Conv(conv) => conv.act_quantizer(),
+        DeployForm::Matrix(_) => model_act,
     }
-    if dense > 0 {
-        reg.counter("mixmatch_kernel_rows_total", &[("tier", "dense")])
-            .add(dense);
+}
+
+/// Row counts of `plan` per kernel under `act`: `(label, rows)` for the
+/// vector (`avx2`), scalar-oracle (`scalar`) and wide-numerator (`dense`)
+/// rows — the selection the GEMM makes for every tile.
+fn kernel_row_counts(plan: &GemmPlan, act: &ActQuantizer) -> [(&'static str, usize); 3] {
+    [RowKernel::Vector, RowKernel::Scalar, RowKernel::Wide].map(|kernel| {
+        (
+            kernel.label(),
+            plan.row_kernels(act).filter(|&k| k == kernel).count(),
+        )
+    })
+}
+
+/// Reports a freshly compiled GEMM plan's rows to the global metrics
+/// registry as `mixmatch_kernel_rows_total{tier=...}`, each under the
+/// kernel it runs for activations from `act`: `avx2`, `scalar` or `dense`
+/// (see [`RowKernel`]). It counts compiles, so a plan run's layers count
+/// once per loaded model. This makes a silent drop to scalar dispatch (a
+/// `MIXMATCH_FORCE_SCALAR` leak, a CPU without AVX2, activations too wide
+/// for the vector kernel) observable on the metrics page.
+fn note_kernel_rows(plan: &GemmPlan, act: &ActQuantizer) {
+    let reg = mixmatch_obs::Registry::global();
+    for (tier, rows) in kernel_row_counts(plan, act) {
+        if rows > 0 {
+            reg.counter("mixmatch_kernel_rows_total", &[("tier", tier)])
+                .add(rows as u64);
+        }
     }
 }
 
 /// Assembles the [`PlanProfile`] for one profiled batch: step labels from
 /// the op kind + layer name, bytes moved from the dims flow (src reads +
-/// dst writes × 4 bytes × images), kernel tier/row split from the
-/// compiled GEMM plans, and the cycle simulator's predicted per-image
-/// cost per step when the model is anchored to a target that models one.
+/// dst writes × 4 bytes × images), the kernel and row split from the
+/// compiled GEMM plans under each layer's quantizer, and the cycle
+/// simulator's predicted per-image cost per step when the model is
+/// anchored to a target that models one.
 fn build_profile(
     model: &QuantizedModel,
     plan: &ExecutionPlan,
@@ -450,19 +465,18 @@ fn build_profile(
                 StepOp::Flatten => "flatten".to_string(),
                 StepOp::Requantize => "requantize".to_string(),
             };
-            let (tier, packed_rows, dense_rows) = match gemm {
-                Some(g) => {
-                    let tier = match g.tier() {
-                        SimdTier::Avx2 => "avx2",
-                        SimdTier::Scalar => "scalar",
-                    };
-                    (
-                        Some(tier.to_string()),
-                        g.packed_rows(),
-                        g.rows() - g.packed_rows(),
-                    )
+            let (tier, packed_rows, dense_rows) = match (step.op.layer(), gemm) {
+                (Some(layer), Some(g)) => {
+                    // Every kernel the step's rows run, e.g. `avx2+dense`.
+                    let act = layer_act(&layers[layer], model.act_quantizer());
+                    let kernels: Vec<&str> = kernel_row_counts(g, act)
+                        .into_iter()
+                        .filter_map(|(label, rows)| (rows > 0).then_some(label))
+                        .collect();
+                    let tier = Some(kernels.join("+"));
+                    (tier, g.packed_rows(), g.rows() - g.packed_rows())
                 }
-                None => (None, 0, 0),
+                _ => (None, 0, 0),
             };
             StepProfile {
                 index: i,
@@ -489,33 +503,33 @@ fn build_profile(
 }
 
 /// Patch-tile size for the cache-tiled conv chain: about 8 Ki activation
-/// codes (32 KiB of `u32`) per tile of patches `kp` codes apart (`K`
-/// padded to the SIMD granule), so a tile and the code map it is gathered
-/// from stay in L1/L2 between im2col and GEMM. Rounded to the kernels'
-/// column-block width.
+/// codes (16 KiB of `u16` pairs) per tile of patches `kp` codes deep (`K`
+/// padded to the kernel's granule), so a tile and the code map it is
+/// gathered from stay in L1/L2 between gather and GEMM. Rounded to the
+/// kernel's patch-block width.
 fn conv_tile_patches(kp: usize) -> usize {
     const TILE_CODES: usize = 8 * 1024;
-    let raw = (TILE_CODES / kp.max(1)).clamp(4, 4096);
-    raw - raw % 4
+    let raw = (TILE_CODES / kp.max(1)).clamp(PATCH_BLOCK, 4096);
+    raw - raw % PATCH_BLOCK
 }
 
 /// One image through the planned conv datapath: the input map is quantized
-/// once into a zero-bordered code map, then tiled over the patch space —
-/// per tile, each patch is gathered as `k`-long runs of codes (no
-/// image-edge tests: the border holds every off-image position) into a row
-/// padded with zero codes to the plan's padded length `Kp`, and the packed
-/// integer GEMM reduces the tile while it is still cache-resident, over all
-/// `Kp` codes in vector lanes with no scalar tail. The whole-image
-/// `[K, patches]` matrix is never materialized and no element is quantized
-/// twice. Dense convs run all rows per tile; depthwise convs run their
-/// group's single row. When `epilogue` is given its post-ops are applied
-/// inside the GEMM write-back. Bit-identical to
-/// `QuantizedConv::try_forward_image` plus a separate epilogue pass:
-/// quantization is elementwise, the border and the padding hold
-/// `quantize_one(0.0) == 0` (what the interpreter's padding reads), a zero
-/// code adds nothing to an accumulator or an add count, integer
-/// accumulation per output element is exact and complete per tile, and the
-/// epilogue is elementwise.
+/// once into a zero-bordered `u16` code map, then tiled over the patch
+/// space — per tile, the gather writes the GEMM kernel's k-pair tile
+/// straight from the map (per k-pair, one run per output row, with no
+/// image-edge tests: the border holds every off-image position) and counts
+/// each `k`'s non-zero codes, and the row-blocked kernel reduces the tile
+/// while it is still cache-resident and stores scaled outputs into `out`.
+/// The whole-image `[K, patches]` matrix is never materialized, no element
+/// is quantized twice, and no relayout pass runs between gather and
+/// kernel. Dense convs run all rows per tile; depthwise convs run their
+/// group's single row. When `epilogue` is given its post-ops run over each
+/// row's stored outputs. Bit-identical to `QuantizedConv::try_forward_image`
+/// plus a separate epilogue pass: quantization is elementwise, the border
+/// and the padding hold `quantize_one(0.0) == 0` (what the interpreter's
+/// padding reads), a zero code adds nothing to an accumulator or an add
+/// count, integer accumulation per output element is exact and complete
+/// per tile, and the epilogue is elementwise.
 fn conv_image_planned(
     plan: &GemmPlan,
     geom: &ConvGeometry,
@@ -533,12 +547,14 @@ fn conv_image_planned(
     let dims = [d[0], d[1], d[2]];
     let ConvScratch {
         codes,
-        tile: tile_codes,
+        tile: words,
+        nonzero,
     } = scratch;
     border_map_into(image.as_slice(), dims, geom.padding, codes, |xs, out| {
         act.quantize_into(xs, out)
     });
-    tile_codes.resize(tile.min(patches.max(1)) * kp, 0);
+    words.resize(kp / 2 * tile.min(patches).next_multiple_of(LANES), 0);
+    nonzero.resize(kp, 0);
     let out = out.as_mut_slice();
     let mut ops = OpCounts::default();
     for g in 0..geom.groups {
@@ -551,13 +567,15 @@ fn conv_image_planned(
         let mut p0 = 0;
         while p0 < patches {
             let count = tile.min(patches - p0);
-            let tile_codes = &mut tile_codes[..count * kp];
-            gather_patches(codes, dims, geom, g, p0..p0 + count, kp, tile_codes);
+            let np = count.next_multiple_of(LANES);
+            let words = &mut words[..kp / 2 * np];
+            gather_pairs(codes, dims, geom, g, p0..p0 + count, kp, np, words, nonzero);
             ops = ops.merge(plan.matmul_tile_into(
                 rows.clone(),
-                tile_codes,
-                kp,
+                words,
+                np,
                 count,
+                nonzero,
                 act,
                 out,
                 patches,
@@ -571,9 +589,9 @@ fn conv_image_planned(
 }
 
 /// One input read flat (any shape with `cols` elements) through a planned
-/// GEMM: quantized once into activation codes, zero-padded to the plan's
-/// padded length, and reduced as a single patch, with `epilogue`'s
-/// post-ops applied in the write-back.
+/// GEMM: quantized once into activation codes, laid out as a one-patch
+/// k-pair tile, and reduced by the same kernel, with `epilogue`'s post-ops
+/// run over the stored outputs.
 fn gemm_planned(
     plan: &GemmPlan,
     act: &ActQuantizer,
@@ -582,13 +600,16 @@ fn gemm_planned(
     scratch: &mut ConvScratch,
     epilogue: Option<&Epilogue>,
 ) -> OpCounts {
-    let (cols, kp) = (plan.cols(), plan.padded_cols());
-    let codes = &mut scratch.codes;
-    codes.resize(kp, 0);
-    act.quantize_into(input.as_slice(), &mut codes[..cols]);
-    codes[cols..].fill(0);
-    let rows = 0..plan.rows();
-    plan.matmul_tile_into(rows, codes, kp, 1, act, out.as_mut_slice(), 1, 0, epilogue)
+    let ConvScratch {
+        codes,
+        tile,
+        nonzero,
+    } = scratch;
+    codes.resize(plan.cols(), 0);
+    act.quantize_into(input.as_slice(), codes);
+    let np = plan.pair_tile_into(codes, 1, tile, nonzero);
+    let (rows, out) = (0..plan.rows(), out.as_mut_slice());
+    plan.matmul_tile_into(rows, tile, np, 1, nonzero, act, out, 1, 0, epilogue)
 }
 
 /// One image through every plan step: load the input buffer, execute steps

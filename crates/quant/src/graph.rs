@@ -641,30 +641,29 @@ pub fn requantize_into(act: &ActQuantizer, src: &Tensor, dst: &mut Tensor) {
     }
 }
 
-/// Applies a fused epilogue in place over `data` — per element, exactly the
+/// Applies a fused epilogue in place over `data`: one pass per post-op,
+/// with the dispatch and the quantizer's step hoisted out of the element
+/// loop, so each pass vectorises. Per element this is exactly the
 /// arithmetic of the standalone [`activation_into`] / [`requantize_into`]
-/// kernels, so a fused plan's logits stay bit-identical to its unfused
-/// twin's.
+/// kernels, and every post-op is elementwise, so a fused plan's logits stay
+/// bit-identical to its unfused twin's. An empty epilogue is a no-op.
 pub fn apply_epilogue(epilogue: &Epilogue, act: &ActQuantizer, data: &mut [f32]) {
-    for x in data.iter_mut() {
-        *x = apply_epilogue_one(epilogue, act, *x);
+    fn each(data: &mut [f32], f: impl Fn(f32) -> f32) {
+        for x in data {
+            *x = f(*x);
+        }
     }
-}
-
-/// Single-element form of [`apply_epilogue`]: folds the post-op chain over
-/// one value. Every post-op is elementwise, so applying the chain per
-/// element inside a GEMM kernel's write-back produces bit-identical results
-/// to the whole-buffer pass — this is what lets the integer kernels fuse
-/// the epilogue into the output store instead of re-walking the buffer.
-#[inline]
-pub fn apply_epilogue_one(epilogue: &Epilogue, act: &ActQuantizer, mut x: f32) -> f32 {
     for op in epilogue.iter() {
-        x = match op {
-            PostOp::Activation(kind) => kind.apply(x),
-            PostOp::Requantize => act.quantize_one(x) as f32 * act.step(),
-        };
+        match op {
+            PostOp::Activation(ActKind::Relu) => each(data, |x| ActKind::Relu.apply(x)),
+            PostOp::Activation(ActKind::Relu6) => each(data, |x| ActKind::Relu6.apply(x)),
+            PostOp::Activation(ActKind::LeakyRelu) => each(data, |x| ActKind::LeakyRelu.apply(x)),
+            PostOp::Requantize => {
+                let step = act.step();
+                each(data, |x| act.quantize_one(x) as f32 * step)
+            }
+        }
     }
-    x
 }
 
 /// Rank-changing copy (`Flatten`): same elements, the compiled output dims.
@@ -727,6 +726,102 @@ mod tests {
     use mixmatch_nn::lower::GraphBuilder;
     use mixmatch_nn::quantize::QuantLayerKind;
     use mixmatch_tensor::im2col::ConvGeometry;
+
+    /// The post-op chain applied to one value at a time, each result
+    /// passed through `black_box` so no loop around it vectorises: the
+    /// reference the hoisted passes of [`apply_epilogue`] must equal.
+    fn epilogue_one(epilogue: &Epilogue, act: &ActQuantizer, mut x: f32) -> f32 {
+        for op in epilogue.iter() {
+            x = std::hint::black_box(match op {
+                PostOp::Activation(kind) => kind.apply(x),
+                PostOp::Requantize => act.quantize_one(x) as f32 * act.step(),
+            });
+        }
+        x
+    }
+
+    #[test]
+    fn hoisted_epilogue_equals_the_per_element_chain_bit_for_bit() {
+        let chain = |ops: &[PostOp]| {
+            let mut e = Epilogue::new();
+            for &op in ops {
+                assert!(e.push(op));
+            }
+            e
+        };
+        let (relu, requantize) = (PostOp::Activation(ActKind::Relu), PostOp::Requantize);
+        let chains = [
+            chain(&[relu]),
+            chain(&[PostOp::Activation(ActKind::Relu6)]),
+            chain(&[PostOp::Activation(ActKind::LeakyRelu)]),
+            chain(&[requantize]),
+            chain(&[relu, requantize]),
+        ];
+        // ±0, ±Inf, extremes, NaN payloads (quiet and signalling, both
+        // signs), subnormals, and values around Relu6's cap.
+        let mut special = vec![
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+        ];
+        special.extend([
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            6.0,
+            -6.0,
+            1e30,
+            -1e30,
+        ]);
+        special.extend(
+            [
+                0x7fc0_0000u32,
+                0x7fc0_0001,
+                0x7f80_0001,
+                0x7fff_ffff,
+                0xffc0_0000,
+                0xff80_0001,
+                0x0000_0001,
+                0x007f_ffff,
+                0x8000_0001,
+                0x807f_ffff,
+            ]
+            .map(f32::from_bits),
+        );
+        special.push(6.0f32.next_up());
+        for bits in [2, 4, 8, 15, 16] {
+            let act = ActQuantizer::new(bits, 1.5);
+            let mut values = special.clone();
+            // Past the clip, and each level's half-way tie ±1 ulp.
+            values.extend([act.clip, act.clip.next_up(), 2.0 * act.clip]);
+            for i in 0..act.levels() {
+                let half = ((i as f32 + 0.5) * act.step()).to_bits();
+                values.extend((half - 1..=half + 1).map(f32::from_bits));
+            }
+            for epilogue in &chains {
+                let mut data = values.clone();
+                apply_epilogue(epilogue, &act, &mut data);
+                for (&x, &y) in values.iter().zip(&data) {
+                    assert_eq!(
+                        y.to_bits(),
+                        epilogue_one(epilogue, &act, x).to_bits(),
+                        "{epilogue:?} at {bits} bits, x {x:e} ({:#010x})",
+                        x.to_bits()
+                    );
+                }
+            }
+        }
+        // An empty epilogue leaves every value as it was.
+        let mut data = special.clone();
+        apply_epilogue(&Epilogue::new(), &ActQuantizer::new(4, 1.5), &mut data);
+        assert_eq!(bits_of(&data), bits_of(&special));
+    }
+
+    fn bits_of(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
 
     fn conv_desc(name: &str, geom: ConvGeometry) -> QuantLayerDesc {
         QuantLayerDesc {

@@ -6,14 +6,22 @@
 //! DSP-style multiplies for fixed rows, shift/add for SP2 rows — and is the
 //! functional model the FPGA simulator (and Table I's operation analysis)
 //! rests on. A float reference path exists purely to validate exactness.
+//!
+//! [`GemmPlan`] compiles a matrix once for batched execution, in the
+//! paper's processing-element form: every row keeps its exact integer
+//! numerators — as `i16` pairs (2 bytes per weight) that the row-blocked
+//! kernel of [`mixmatch_tensor::simd`] broadcasts against a tile of
+//! activation-code pairs, or as `i64` when a numerator is wider — plus the
+//! `k` of its two-term SP2 codes, whose adds are charged per tile from the
+//! tile's non-zero census rather than inside the kernel.
 
 use crate::codes::{OpCounts, WeightCode};
 use crate::error::QuantError;
-use crate::graph::{apply_epilogue_one, Epilogue};
+use crate::graph::{apply_epilogue, Epilogue};
 use crate::msq::SchemeBooks;
 use crate::rowwise::RowAssignment;
 use crate::schemes::Scheme;
-use mixmatch_tensor::simd::{self, NibbleLut, PackedKernel, SimdTier, K_GRANULE, MAX_COL_BLOCK};
+use mixmatch_tensor::simd::{self, PackedKernel, SimdTier, K_GRANULE, LANES, ROW_BLOCK};
 use mixmatch_tensor::Tensor;
 use std::ops::Range;
 
@@ -90,14 +98,17 @@ impl ActQuantizer {
     /// Quantizes `xs` into the equally long code slice `out` — the
     /// allocation-free path batched-inference workers take once per GEMM
     /// input (each row of a conv's input map, or a dense layer's vector).
+    /// Every code is at most `levels()`, so it fits `u16` for every
+    /// quantizer of `2..=16` bits.
     ///
     /// # Panics
     ///
     /// Panics when `out.len() != xs.len()`.
-    pub fn quantize_into(&self, xs: &[f32], out: &mut [u32]) {
+    #[inline]
+    pub fn quantize_into(&self, xs: &[f32], out: &mut [u16]) {
         assert_eq!(out.len(), xs.len(), "code slice length mismatch");
         for (o, &x) in out.iter_mut().zip(xs) {
-            *o = self.quantize_one(x);
+            *o = self.quantize_one(x) as u16;
         }
     }
 
@@ -364,12 +375,13 @@ impl QuantizedMatrix {
     /// Compiles the per-row code plans once for batched execution: every
     /// [`WeightCode`] collapses to its exact integer numerator, so the
     /// engine's inner loop is a plain integer dot product instead of an enum
-    /// dispatch per element. Genuinely 4-bit rows keep their *packed* nibble
-    /// form (the SIMD decode-in-register layout), anything wider becomes
-    /// dense `i64` numerators, and each row records its worst-case
-    /// accumulator magnitude for [`GemmPlan::check_act`]. Every row is
-    /// zero-padded to a multiple of [`K_GRANULE`] codes, so the engine's
-    /// padded tiles reduce without a scalar tail. See [`GemmPlan`].
+    /// dispatch per element. Rows whose numerators all fit `i16` (every
+    /// 4-bit row) keep them as the pairs the vector kernel broadcasts, rows
+    /// with wider numerators become `i64` numerators for the scalar oracle,
+    /// and each row records its worst-case accumulator magnitude for
+    /// [`GemmPlan::check_act`] and the `k` of its two-term SP2 codes for the
+    /// add census. Every row is zero-padded to a multiple of [`K_GRANULE`]
+    /// codes. See [`GemmPlan`].
     ///
     /// # Errors
     ///
@@ -482,37 +494,37 @@ fn try_plan_code(code: &WeightCode) -> Option<(i64, OpCounts, bool)> {
 }
 
 /// Compiles one quantized row: numerators, op tally, worst-case accumulator
-/// bound, and — when every code survives a nibble encode/decode round trip
-/// — the packed byte + LUT layout the SIMD kernels decode in-register. The
-/// layout is zero-padded from `K` to the next multiple of [`K_GRANULE`]
-/// weights: zero bytes for a packed row, zero numerators and a zero add
-/// mask for a dense one. Only zero activation codes ever meet the padding,
-/// and a zero code adds 0 to the accumulator and charges no add whatever
-/// the weight, so outputs and op counts are those of the unpadded row.
+/// bound, and the `k` indices of its two-term SP2 codes. The numerators are
+/// zero-padded from `K` to the next multiple of [`K_GRANULE`]. Only zero
+/// activation codes ever meet the padding, and a zero code adds 0 to the
+/// accumulator and charges no add whatever the weight, so outputs and op
+/// counts are those of the unpadded row. A row whose numerators all fit
+/// `i16` keeps them as the pairs the vector kernel broadcasts; a wider
+/// numerator keeps the whole row in `i64` for the scalar oracle.
 fn plan_row(r: usize, row: &QuantRow) -> Result<PlannedRow, QuantError> {
     let padded = row.codes.len().next_multiple_of(K_GRANULE);
     let mut nums = Vec::with_capacity(padded);
-    let mut add_mask = Vec::with_capacity(padded);
+    let mut addable = Vec::new();
     let mut base_ops = OpCounts::default();
     let mut sum_abs: u128 = 0;
-    for code in &row.codes {
-        let (num, ops, addable) = try_plan_code(code)
+    for (k, code) in row.codes.iter().enumerate() {
+        let (num, ops, add) = try_plan_code(code)
             .ok_or_else(|| QuantError::overflow(r, pow2_bound(code), i64::MAX as u128))?;
         nums.push(num);
-        add_mask.push(addable as u8);
+        if add {
+            addable.push(k as u32);
+        }
         base_ops = base_ops.merge(ops);
         sum_abs += num.unsigned_abs() as u128;
     }
-    let data = match packed_row_data(row, &nums, &add_mask) {
-        Some(packed) => packed,
-        None => {
-            nums.resize(padded, 0);
-            add_mask.resize(padded, 0);
-            RowData::Dense { nums, add_mask }
-        }
+    nums.resize(padded, 0);
+    let nums = match nums.iter().map(|&v| i16::try_from(v)).collect() {
+        Ok(pairs) => RowNums::Pairs(pairs),
+        Err(_) => RowNums::Wide(nums),
     };
     Ok(PlannedRow {
-        data,
+        nums,
+        addable,
         alpha: row.alpha,
         denominator: row.denominator,
         base_ops,
@@ -537,66 +549,59 @@ fn pow2_bound(code: &WeightCode) -> u128 {
     }
 }
 
-/// Attempts the packed layout for one row: every code must encode to a
-/// nibble *and* decode back to the same planned numerator and add flag
-/// (true 4-bit rows only — e.g. a P2 row built at 6 bits encodes but
-/// decodes to different shifts, so it stays dense). The returned LUT maps
-/// each of the 16 nibbles to its numerator, so the hot loop reads the
-/// packed bytes directly and never materializes the unpacked row.
-fn packed_row_data(row: &QuantRow, nums: &[i64], add_mask: &[u8]) -> Option<RowData> {
-    let mut lut_nums = [0i8; 16];
-    let mut lut_add = [false; 16];
-    for nib in 0u8..16 {
-        // Invalid nibbles (negative zero) never appear in bytes produced
-        // below, so their LUT slots are dead; leave them at 0.
-        if let Ok(code) = crate::export::decode_nibble(nib, row.scheme) {
-            let (num, _, addable) = try_plan_code(&code)?;
-            lut_nums[nib as usize] = i8::try_from(num).ok()?;
-            lut_add[nib as usize] = addable;
-        }
-    }
-    let lut = NibbleLut::new(lut_nums, lut_add);
-    for ((code, &num), &mask) in row.codes.iter().zip(nums).zip(add_mask) {
-        let nib = crate::export::try_encode_nibble(code)?;
-        if lut.num(nib) != num || lut.addable(nib) != (mask != 0) {
-            return None;
-        }
-    }
-    let mut bytes = crate::export::pack_nibbles(&row.codes);
-    bytes.resize(row.codes.len().next_multiple_of(K_GRANULE) / 2, 0);
-    Some(RowData::Packed { bytes, lut })
-}
-
-/// One row of a [`GemmPlan`]: the reduction layout plus the row scale
-/// inputs, the activation-independent op tally for one pass, and the
-/// worst-case accumulator magnitude per unit activation.
+/// One row of a [`GemmPlan`]: the numerators plus the row scale inputs,
+/// the activation-independent op tally for one pass, the worst-case
+/// accumulator magnitude per unit activation, and where the row charges
+/// activation-dependent adds.
 #[derive(Debug, Clone)]
 struct PlannedRow {
-    data: RowData,
+    nums: RowNums,
+    /// `k` of every two-term SP2 code: each charges one add per non-zero
+    /// activation, matching [`WeightCode::mac`].
+    addable: Vec<u32>,
     alpha: f32,
     denominator: u128,
     base_ops: OpCounts,
     /// `Σ_k |numerator_k|`: multiplied by the activation ceiling this bounds
-    /// the accumulator statically ([`GemmPlan::check_act`]) and selects the
-    /// widest vector kernel that provably cannot wrap.
+    /// the accumulator statically ([`GemmPlan::check_act`]) and decides
+    /// whether the vector kernel provably cannot wrap.
     sum_abs: u128,
 }
 
-/// Physical layout of one planned row's weights, zero-padded to a multiple
-/// of [`K_GRANULE`] weights (see [`plan_row`]).
+/// A planned row's numerators, zero-padded to a multiple of [`K_GRANULE`]
+/// (see [`plan_row`]).
 #[derive(Debug, Clone)]
-enum RowData {
-    /// Genuine 4-bit row: packed nibble bytes (two codes per byte, low
-    /// nibble first) plus the 16-entry decode table — the form the SIMD
-    /// kernels shuffle-decode in-register.
-    Packed { bytes: Vec<u8>, lut: NibbleLut },
-    /// General row: pre-expanded `i64` numerators.
-    Dense {
-        nums: Vec<i64>,
-        /// 1 where the code is a two-term SP2 — an add is charged iff the
-        /// activation is non-zero, matching [`WeightCode::mac`].
-        add_mask: Vec<u8>,
-    },
+enum RowNums {
+    /// Every numerator fits `i16`: the vector kernel reads them as `i32`
+    /// pairs, even `k` in the low half (2 bytes per weight).
+    Pairs(Vec<i16>),
+    /// Some numerator is wider: `i64`s for the scalar oracle.
+    Wide(Vec<i64>),
+}
+
+/// The kernel one compiled row runs under a plan's tier and an activation
+/// quantizer — the same selection the engine makes, and the label
+/// `mixmatch_kernel_rows_total` counts the row under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RowKernel {
+    /// `i16` pairs on the AVX2 kernel.
+    Vector,
+    /// `i16` pairs on the scalar oracle: the scalar tier, levels above
+    /// `i16::MAX`, or a row past the `i32` bound.
+    Scalar,
+    /// `i64` numerators on the scalar oracle.
+    Wide,
+}
+
+impl RowKernel {
+    /// The metrics label: `avx2`, `scalar` or `dense`.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            RowKernel::Vector => "avx2",
+            RowKernel::Scalar => "scalar",
+            RowKernel::Wide => "dense",
+        }
+    }
 }
 
 impl PlannedRow {
@@ -606,42 +611,22 @@ impl PlannedRow {
         self.alpha * act.step() / self.denominator as f32
     }
 
-    /// The kernel this row runs under `tier` for activations from `act` —
-    /// vector tiers only when the row is packed and the static bound proves
-    /// 32-bit lane accumulation cannot wrap.
-    fn kernel(&self, tier: SimdTier, act: &ActQuantizer) -> PackedKernel {
-        match self.data {
-            RowData::Packed { .. } => simd::select_kernel(tier, act.levels(), self.sum_abs),
-            RowData::Dense { .. } => PackedKernel::Scalar,
+    /// The kernel this row runs under `tier` for activations from `act`.
+    fn kernel(&self, tier: SimdTier, act: &ActQuantizer) -> RowKernel {
+        match self.nums {
+            RowNums::Pairs(_) => match simd::select_kernel(tier, act.levels(), self.sum_abs) {
+                PackedKernel::I16x16 => RowKernel::Vector,
+                PackedKernel::Scalar => RowKernel::Scalar,
+            },
+            RowNums::Wide(_) => RowKernel::Wide,
         }
     }
 
-    /// `N` contiguous-column reductions against this row, each `len` long
-    /// (at most the row's padded length).
-    fn dot_cols<const N: usize>(
-        &self,
-        kernel: PackedKernel,
-        len: usize,
-        cols: [&[u32]; N],
-    ) -> ([i64; N], [usize; N]) {
-        match &self.data {
-            RowData::Packed { bytes, lut } => simd::packed_dot_cols(kernel, lut, bytes, len, cols),
-            RowData::Dense { nums, add_mask } => {
-                let mut accs = [0i64; N];
-                let mut adds = [0usize; N];
-                for j in 0..N {
-                    let mut acc = 0i64;
-                    let mut cnt = 0usize;
-                    for ((&a, &num), &mask) in cols[j].iter().zip(nums).zip(add_mask) {
-                        let a = a as i64;
-                        acc += a * num;
-                        cnt += (mask & (a != 0) as u8) as usize;
-                    }
-                    accs[j] = acc;
-                    adds[j] = cnt;
-                }
-                (accs, adds)
-            }
+    /// The `i16` numerators (empty for a wide row).
+    fn pairs(&self) -> &[i16] {
+        match &self.nums {
+            RowNums::Pairs(pairs) => pairs,
+            RowNums::Wide(_) => &[],
         }
     }
 }
@@ -652,10 +637,11 @@ impl PlannedRow {
 /// [`GemmPlan::check_act`]), and the final per-output scaling is the same
 /// `f32` expression as [`QuantizedMatrix::matvec`], so plan execution is
 /// **bit-identical** to the interpreted kernels while replacing the
-/// per-element `WeightCode` match with packed-nibble SIMD (4-bit rows) or a
-/// flat `i64` multiply (everything else). The instruction tier is resolved
-/// once per process ([`simd::active_tier`]); [`GemmPlan::with_tier`] forces
-/// a specific tier for differential testing and benchmarking.
+/// per-element `WeightCode` match with a row-blocked SIMD kernel over `i16`
+/// numerator pairs (every 4-bit row) or a flat `i64` multiply (rows with
+/// wider numerators). The instruction tier is resolved once per process
+/// ([`simd::active_tier`]); [`GemmPlan::with_tier`] forces a specific tier
+/// for differential testing and benchmarking.
 #[derive(Debug, Clone)]
 pub struct GemmPlan {
     rows: Vec<PlannedRow>,
@@ -687,12 +673,18 @@ impl GemmPlan {
         self
     }
 
-    /// Number of rows compiled to the packed (SIMD-decodable) layout.
+    /// Number of rows compiled to the packed `i16`-pair layout.
     pub fn packed_rows(&self) -> usize {
         self.rows
             .iter()
-            .filter(|r| matches!(r.data, RowData::Packed { .. }))
+            .filter(|r| matches!(r.nums, RowNums::Pairs(_)))
             .count()
+    }
+
+    /// The kernel each row runs for activations from `act`, in row order.
+    pub(crate) fn row_kernels(&self, act: &ActQuantizer) -> impl Iterator<Item = RowKernel> + '_ {
+        let act = *act;
+        self.rows.iter().map(move |r| r.kernel(self.tier, &act))
     }
 
     /// Statically proves that no accumulator can wrap for activations from
@@ -726,19 +718,18 @@ impl GemmPlan {
 
     /// Integer GEMM over a **patch-major tile**: `patches` holds `n`
     /// contiguous `cols`-long activation columns (`[n, cols]`), and outputs
-    /// land at column offset `j0` of a `[rows, out_stride]` buffer — so the
-    /// cache-tiled engine runs the GEMM per im2col tile while the tile is
-    /// still resident in L1/L2, accumulating the full output image across
-    /// calls. When `epilogue` is given, its post-op chain is applied to
-    /// each element in the write-back (bit-identical to a separate pass —
+    /// land at column offset `j0` of a `[rows, out_stride]` buffer. When
+    /// `epilogue` is given, its post-op chain runs over each row's outputs
+    /// after the kernel stores them (bit-identical to a separate pass —
     /// every post-op is elementwise). Without one, the output is
     /// bit-identical to [`QuantizedMatrix::matmul`] on the same activations
-    /// laid out `[cols, n]`, op counts included.
+    /// laid out `[cols, n]`, op counts included. The columns are laid out
+    /// as the kernel's k-pair tile internally (one allocation per call).
     ///
     /// # Panics
     ///
     /// Panics when `patches` is shorter than `n × cols`, any of those codes
-    /// exceeds `act.levels()` (the vector kernels' exactness bound assumes
+    /// exceeds `act.levels()` (the vector kernel's exactness bound assumes
     /// codes from `act`), or the output window `[rows, j0 + n]` exceeds the
     /// `out` buffer.
     #[allow(clippy::too_many_arguments)]
@@ -753,24 +744,18 @@ impl GemmPlan {
         epilogue: Option<&Epilogue>,
     ) -> OpCounts {
         assert_codes_fit(patches, self.cols * n, act);
+        let (mut tile, mut nonzero) = (Vec::new(), Vec::new());
+        let np = self.pair_tile_into(patches, n, &mut tile, &mut nonzero);
+        let rows = 0..self.rows();
         self.matmul_tile_into(
-            0..self.rows(),
-            patches,
-            self.cols,
-            n,
-            act,
-            out,
-            out_stride,
-            j0,
-            epilogue,
+            rows, &tile, np, n, &nonzero, act, out, out_stride, j0, epilogue,
         )
     }
 
     /// Patch-major depthwise primitive: one row against a tile of `n`
-    /// contiguous `cols`-long patches, with the optional fused epilogue in
-    /// the write-back — the planned, tiled twin of
-    /// [`QuantizedMatrix::matmul_row`], bit-identical to it (op counts
-    /// included) when no epilogue is given.
+    /// contiguous `cols`-long patches, with the optional epilogue after the
+    /// store — the planned, tiled twin of [`QuantizedMatrix::matmul_row`],
+    /// bit-identical to it (op counts included) when no epilogue is given.
     ///
     /// # Panics
     ///
@@ -788,47 +773,120 @@ impl GemmPlan {
     ) -> OpCounts {
         assert!(r < self.rows(), "row index out of range");
         assert_codes_fit(patches, self.cols * n, act);
-        self.matmul_tile_into(r..r + 1, patches, self.cols, n, act, out, n, 0, epilogue)
+        let (mut tile, mut nonzero) = (Vec::new(), Vec::new());
+        let np = self.pair_tile_into(patches, n, &mut tile, &mut nonzero);
+        self.matmul_tile_into(r..r + 1, &tile, np, n, &nonzero, act, out, n, 0, epilogue)
     }
 
-    /// The engine's entry under both public ones: rows `rows` against `n`
-    /// patches laid `stride` codes apart, where `cols ≤ stride ≤` the
-    /// padded row length and every code between `cols` and `stride` is
-    /// zero. Row `rows.start + i` lands at `out[i·out_stride + j0..][..n]`.
-    /// With `stride` at the padded length (a multiple of [`K_GRANULE`]) the
-    /// vector kernels cover every code with no scalar tail. Codes are not
-    /// scanned: they must not exceed `act.levels()`, which holds for every
-    /// code from [`ActQuantizer::quantize_one`].
+    /// Lays out `n` patch-major columns of `cols` codes each as the
+    /// kernel's k-pair tile (see [`simd`]): `padded_cols()/2` rows of `np`
+    /// words, `np` being `n` rounded up to [`LANES`], zero past `cols` and
+    /// past `n`. `nonzero[k]` receives how many columns hold a non-zero
+    /// code at `k`. Returns `np`. Codes must fit `u16`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `patches` is shorter than `n × cols`.
+    pub(crate) fn pair_tile_into<C: Copy + Into<u32>>(
+        &self,
+        patches: &[C],
+        n: usize,
+        tile: &mut Vec<u32>,
+        nonzero: &mut Vec<u32>,
+    ) -> usize {
+        let (cols, kp) = (self.cols, self.padded_cols());
+        assert!(
+            patches.len() >= cols * n,
+            "patch tile must hold n × cols activations"
+        );
+        let np = n.next_multiple_of(LANES);
+        tile.clear();
+        tile.resize(kp / 2 * np, 0);
+        nonzero.clear();
+        nonzero.resize(kp, 0);
+        for j in 0..n {
+            for (k, &code) in patches[j * cols..(j + 1) * cols].iter().enumerate() {
+                let code: u32 = code.into();
+                tile[k / 2 * np + j] |= code << (16 * (k % 2));
+                nonzero[k] += (code != 0) as u32;
+            }
+        }
+        np
+    }
+
+    /// The engine's entry under both public ones: rows `rows` against the
+    /// `n` patches of a k-pair `tile` with `np` lanes per row (see
+    /// [`simd`]), whose per-`k` non-zero counts are `nonzero`. Row
+    /// `rows.start + i` lands at `out[i·out_stride + j0..][..n]`. Runs of up
+    /// to [`simd::ROW_BLOCK`] consecutive rows with the same kernel reduce
+    /// together; then each row's epilogue runs over its stored outputs, and
+    /// its SP2 adds come from the census, `Σ_{k addable} nonzero[k]`. Codes
+    /// are not scanned: they must not exceed `act.levels()`, which holds for
+    /// every code from [`ActQuantizer::quantize_one`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn matmul_tile_into(
         &self,
         rows: Range<usize>,
-        patches: &[u32],
-        stride: usize,
+        tile: &[u32],
+        np: usize,
         n: usize,
+        nonzero: &[u32],
         act: &ActQuantizer,
         out: &mut [f32],
         out_stride: usize,
         j0: usize,
         epilogue: Option<&Epilogue>,
     ) -> OpCounts {
-        assert!(
-            (self.cols..=self.padded_cols()).contains(&stride),
-            "patch stride outside cols..=padded cols"
-        );
-        assert!(
-            patches.len() >= stride * n,
-            "patch tile must hold n × cols activations"
-        );
         assert!(j0 + n <= out_stride, "tile exceeds output row stride");
         assert!(
             rows.is_empty() || (rows.len() - 1) * out_stride + j0 + n <= out.len(),
             "output buffer too short for [rows, stride]"
         );
+        assert!(nonzero.len() >= self.cols, "census shorter than cols");
+        let mut r = rows.start;
+        while r < rows.end {
+            let kernel = self.rows[r].kernel(self.tier, act);
+            let mut end = r + 1;
+            while kernel != RowKernel::Wide
+                && end < rows.end
+                && end - r < ROW_BLOCK
+                && self.rows[end].kernel(self.tier, act) == kernel
+            {
+                end += 1;
+            }
+            let block = &self.rows[r..end];
+            let scales: [f32; ROW_BLOCK] =
+                std::array::from_fn(|i| block.get(i).map_or(0.0, |row| row.scale(act)));
+            let scales = &scales[..block.len()];
+            let dst = &mut out[(r - rows.start) * out_stride + j0..];
+            match &block[0].nums {
+                // A wide row is a block of its own.
+                RowNums::Wide(nums) => {
+                    simd::gemm_scalar(&[&nums[..]], scales, tile, np, n, dst, out_stride)
+                }
+                RowNums::Pairs(_) => {
+                    let pairs: [&[i16]; ROW_BLOCK] =
+                        std::array::from_fn(|i| block.get(i).map_or(&[][..], PlannedRow::pairs));
+                    let pairs = &pairs[..block.len()];
+                    let kernel = match kernel {
+                        RowKernel::Vector => PackedKernel::I16x16,
+                        _ => PackedKernel::Scalar,
+                    };
+                    simd::gemm_pairs(kernel, pairs, scales, tile, np, n, dst, out_stride)
+                }
+            }
+            r = end;
+        }
         let mut ops = OpCounts::default();
         for (i, row) in self.rows[rows].iter().enumerate() {
-            let dst = &mut out[i * out_stride + j0..][..n];
-            let adds = row_patches(row, self.tier, patches, stride, n, act, dst, epilogue);
+            if let Some(e) = epilogue {
+                apply_epilogue(e, act, &mut out[i * out_stride + j0..][..n]);
+            }
+            let adds: usize = row
+                .addable
+                .iter()
+                .map(|&k| nonzero[k as usize] as usize)
+                .sum();
             ops.mults += row.base_ops.mults * n;
             ops.shifts += row.base_ops.shifts * n;
             ops.adds += row.base_ops.adds * n + adds;
@@ -837,14 +895,14 @@ impl GemmPlan {
     }
 
     /// Reduction length padded to a multiple of [`K_GRANULE`]: the length of
-    /// every planned row, and the patch stride of the engine's code tiles.
+    /// every planned row, and twice the pair count of the engine's tiles.
     pub(crate) fn padded_cols(&self) -> usize {
         self.cols.next_multiple_of(K_GRANULE)
     }
 }
 
 /// Panics unless each of the first `len` codes is at most `act.levels()` —
-/// the public GEMM entries' guard for the vector kernels, whose 16-bit
+/// the public GEMM entries' guard for the vector kernel, whose 16-bit
 /// lanes and `i32` bound assume codes from `act`.
 fn assert_codes_fit(codes: &[u32], len: usize, act: &ActQuantizer) {
     let max = codes.iter().take(len).fold(0, |m, &c| m.max(c));
@@ -853,55 +911,6 @@ fn assert_codes_fit(codes: &[u32], len: usize, act: &ActQuantizer) {
         "activation code {max} exceeds the quantizer's {} levels",
         act.levels()
     );
-}
-
-/// Shared inner loop of the patch-major entry points: reduces one planned
-/// row against `n` patches laid `stride` codes apart (each reduction is
-/// `stride` long), blocking columns so one in-register weight decode feeds
-/// up to [`MAX_COL_BLOCK`] reductions, and applies the optional epilogue
-/// per element at write-back. Returns the activation-dependent add count.
-#[allow(clippy::too_many_arguments)]
-fn row_patches(
-    row: &PlannedRow,
-    tier: SimdTier,
-    patches: &[u32],
-    stride: usize,
-    n: usize,
-    act: &ActQuantizer,
-    dst: &mut [f32],
-    epilogue: Option<&Epilogue>,
-) -> usize {
-    // The block loop strides by 4 and builds a 4-column array; keep the
-    // two in lockstep with the simd module's block width.
-    const { assert!(MAX_COL_BLOCK == 4) };
-    let kernel = row.kernel(tier, act);
-    let scale = row.scale(act);
-    let mut adds_total = 0usize;
-    let mut j = 0usize;
-    let col = |j: usize| &patches[j * stride..(j + 1) * stride];
-    let write = |slot: &mut f32, acc: i64| {
-        let y = acc as f32 * scale;
-        *slot = match epilogue {
-            Some(e) => apply_epilogue_one(e, act, y),
-            None => y,
-        };
-    };
-    while j + MAX_COL_BLOCK <= n {
-        let (accs, adds) =
-            row.dot_cols(kernel, stride, [col(j), col(j + 1), col(j + 2), col(j + 3)]);
-        for t in 0..MAX_COL_BLOCK {
-            write(&mut dst[j + t], accs[t]);
-            adds_total += adds[t];
-        }
-        j += MAX_COL_BLOCK;
-    }
-    while j < n {
-        let (accs, adds) = row.dot_cols(kernel, stride, [col(j)]);
-        write(&mut dst[j], accs[0]);
-        adds_total += adds[0];
-        j += 1;
-    }
-    adds_total
 }
 
 /// A [`QuantizedMatrix`] in serialized form: packed nibbles plus per-row
@@ -978,9 +987,9 @@ impl PackedMatrix {
 
     /// Compiles an executable [`GemmPlan`] by unpacking into a
     /// [`QuantizedMatrix`] and planning that (`self.unpack()?.try_plan()`).
-    /// Every decoded 4-bit row round-trips, so the resulting plan keeps all
-    /// rows in the packed SIMD layout — which is how deserialized artifacts
-    /// reach the vector kernels.
+    /// Every 4-bit numerator fits `i16`, so the resulting plan keeps all
+    /// rows in the packed pair layout — which is how deserialized artifacts
+    /// reach the vector kernel.
     ///
     /// # Errors
     ///
@@ -1073,9 +1082,9 @@ mod tests {
         // Non-NaN behaviour is unchanged: saturation above, floor below.
         assert_eq!(act.quantize_one(f32::INFINITY), act.levels());
         assert_eq!(act.quantize_one(f32::NEG_INFINITY), 0);
-        let mut buf = vec![99u32; 3];
+        let mut buf = vec![99u16; 3];
         act.quantize_into(&[f32::NAN, 0.75, -2.0], &mut buf);
-        assert_eq!(buf, vec![0, act.quantize_one(0.75), 0]);
+        assert_eq!(buf, vec![0, act.quantize_one(0.75) as u16, 0]);
     }
 
     /// The quantizer's former body: clamp, divide, libm `round`.
@@ -1379,10 +1388,27 @@ mod tests {
             let plan = qm.try_plan().expect("4-bit plan");
             assert_eq!(plan.packed_rows(), 6, "every 4-bit row should pack");
         }
-        // Wider codebooks must fall back to the dense layout (their nibble
-        // round trip fails), not silently mis-decode.
+        // 6-bit fixed numerators (≤ 31) still fit the i16 pairs.
         let qm6 = QuantizedMatrix::from_float(&w, &MsqPolicy::single(Scheme::Fixed, 6));
-        assert_eq!(qm6.try_plan().expect("6-bit plan").packed_rows(), 0);
+        assert_eq!(qm6.try_plan().expect("6-bit plan").packed_rows(), 6);
+        // Numerators past i16 (6-bit P2 reaches 2^30) must fall back to the
+        // wide layout, not silently truncate, and still match the
+        // interpreter under both tiers.
+        let p6 = QuantizedMatrix::from_float(&w, &MsqPolicy::single(Scheme::Pow2, 6));
+        let plan = p6.try_plan().expect("6-bit P2 plan");
+        assert_eq!(plan.packed_rows(), 0, "every 6-bit P2 row is wide");
+        let act = ActQuantizer::new(4, 1.0);
+        plan.check_act(&act).expect("bound holds");
+        let x: Vec<u32> = (0..20).map(|i| (i * 7 % 16) as u32).collect();
+        let (y_ref, ops_ref) = p6.matvec(&x, &act);
+        for tier in [SimdTier::Scalar, simd::detected_tier()] {
+            let mut y = vec![0.0f32; 6];
+            let ops = plan
+                .clone()
+                .with_tier(tier)
+                .matmul_patches_into(&x, 1, &act, &mut y, 1, 0, None);
+            assert_eq!((y.as_slice(), ops), (&y_ref[..], ops_ref), "{tier:?}");
+        }
     }
 
     #[test]

@@ -29,12 +29,13 @@ pub struct StepProfile {
     /// Bytes read from source buffers plus bytes written to the
     /// destination, across the whole batch (f32 elements × 4).
     pub bytes_moved: u64,
-    /// Kernel tier the step's GEMM plan compiled to (`avx2` / `scalar`),
+    /// The kernels the step's GEMM rows run under the layer's quantizer
+    /// (`avx2`, `scalar`, `dense`, joined with `+` when rows differ),
     /// `None` for weight-free steps.
     pub tier: Option<String>,
-    /// Rows on the packed SIMD layout (GEMM steps; 0 otherwise).
+    /// Rows on the packed `i16`-pair layout (GEMM steps; 0 otherwise).
     pub packed_rows: usize,
-    /// Rows on the dense fallback layout (GEMM steps; 0 otherwise).
+    /// Rows on the wide `i64` layout (GEMM steps; 0 otherwise).
     pub dense_rows: usize,
     /// The cycle simulator's predicted per-image cost, when available.
     pub predicted: Option<Duration>,

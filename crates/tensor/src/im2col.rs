@@ -6,14 +6,16 @@
 //! row-per-filter layout is exactly the weight matrix the paper's Algorithm 2
 //! partitions between SP2 and fixed-point schemes.
 //!
-//! Two layouts serve two consumers. The row-major [`im2col`] /
+//! Three layouts serve three consumers. The row-major [`im2col`] /
 //! [`im2col_into`] (`[K, patches]`, bounds-tested per element) feed the
-//! float conv layers and are the test oracle. The patch-major tile path
-//! feeds the integer engine: [`border_map_into`] writes the input once into
-//! a zero-bordered map, so every kernel window lies inside it, and
-//! [`gather_patches`] copies each patch as `(c/groups)·k` runs of `k`
-//! contiguous elements with no image-edge test, into rows of a caller-chosen
-//! stride (the engine pads each patch to the SIMD kernels' granule).
+//! float conv layers and are the test oracle. The integer engine reads a
+//! zero-bordered map that [`border_map_into`] writes once per input, so
+//! every kernel window lies inside it, and [`gather_pairs`] writes the
+//! GEMM kernel's k-pair tile straight from that map: per pair of reduction
+//! indices, one run of codes per output row, interleaved as 16-bit halves,
+//! with the tile's per-`k` non-zero census. The patch-major
+//! [`im2col_patches_into`] (`[patches, K]`, via [`gather_patches`]) serves
+//! callers outside the engine.
 
 use crate::tensor::Tensor;
 use std::ops::Range;
@@ -172,9 +174,8 @@ pub fn im2col_into(input: &Tensor, geom: &ConvGeometry, group: usize, dst: &mut 
 /// one contiguous K-long reduction per patch, with the same k-index order
 /// (`c·k² + ky·k + kx`) as the row-major form.
 ///
-/// A convenience wrapper over the engine's tile path: it writes a bordered
-/// copy of `input` with [`border_map_into`] (one allocation per call) and
-/// runs [`gather_patches`] with stride `K`.
+/// It writes a bordered copy of `input` with [`border_map_into`] (one
+/// allocation per call) and runs [`gather_patches`] with stride `K`.
 ///
 /// # Panics
 ///
@@ -203,11 +204,11 @@ pub fn im2col_patches_into(
 }
 
 /// Writes the `[c, h, w]` map `src` into `dst` as the zero-bordered
-/// `[c, h + 2·pad, w + 2·pad]` map [`gather_patches`] reads, converting
-/// the interior with `convert` (called on whole rows, or on the whole map
-/// when `pad` is 0). `dst` is resized to fit, and every border element is
-/// rewritten with `T::default()` on each call, so nothing from an earlier
-/// map survives in it.
+/// `[c, h + 2·pad, w + 2·pad]` map [`gather_pairs`] and [`gather_patches`]
+/// read, converting the interior with `convert` (called on whole rows, or
+/// on the whole map when `pad` is 0). `dst` is resized to fit, and every
+/// border element is rewritten with `T::default()` on each call, so nothing
+/// from an earlier map survives in it.
 ///
 /// # Panics
 ///
@@ -217,26 +218,58 @@ pub fn border_map_into<S, T: Copy + Default>(
     [c, h, w]: [usize; 3],
     pad: usize,
     dst: &mut Vec<T>,
-    mut convert: impl FnMut(&[S], &mut [T]),
+    convert: impl FnMut(&[S], &mut [T]),
 ) {
     assert_eq!(src.len(), c * h * w, "bordered map source length mismatch");
     let (hp, wp) = (h + 2 * pad, w + 2 * pad);
     dst.resize(c * hp * wp, T::default());
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::active_tier() == crate::simd::SimdTier::Avx2 {
+        /// The same copy compiled for AVX2, so an inlined `convert`
+        /// vectorises to 256-bit lanes.
+        #[target_feature(enable = "avx2")]
+        fn avx2<S, T: Copy + Default>(
+            src: &[S],
+            dims: [usize; 3],
+            dst: &mut [T],
+            convert: impl FnMut(&[S], &mut [T]),
+        ) {
+            border_rows(src, dims, dst, convert)
+        }
+        // SAFETY: the active tier is AVX2 only on a CPU that reports it.
+        #[allow(unsafe_code)]
+        unsafe {
+            avx2(src, [h, w, pad], dst, convert)
+        };
+        return;
+    }
+    border_rows(src, [h, w, pad], dst, convert)
+}
+
+/// The body of [`border_map_into`] on a map already sized to fit.
+#[inline(always)]
+fn border_rows<S, T: Copy + Default>(
+    src: &[S],
+    [h, w, pad]: [usize; 3],
+    dst: &mut [T],
+    mut convert: impl FnMut(&[S], &mut [T]),
+) {
     if pad == 0 {
         convert(src, dst);
         return;
     }
-    for (i, row) in dst.chunks_exact_mut(wp).enumerate() {
-        let (ch, y) = (i / hp, i % hp);
-        match y.checked_sub(pad).filter(|&iy| iy < h) {
-            Some(iy) => {
-                let (left, rest) = row.split_at_mut(pad);
-                let (mid, right) = rest.split_at_mut(w);
-                left.fill(T::default());
-                convert(&src[(ch * h + iy) * w..][..w], mid);
-                right.fill(T::default());
-            }
-            None => row.fill(T::default()),
+    let wp = w + 2 * pad;
+    dst.fill(T::default());
+    if h * w == 0 {
+        return;
+    }
+    for (plane, rows) in dst
+        .chunks_exact_mut((h + 2 * pad) * wp)
+        .zip(src.chunks_exact(h * w))
+    {
+        let interior = plane[pad * wp..].chunks_exact_mut(wp);
+        for (row, from) in interior.zip(rows.chunks_exact(w)) {
+            convert(from, &mut row[pad..pad + w]);
         }
     }
 }
@@ -321,6 +354,176 @@ fn gather_runs<T: Copy + Default, const K: usize>(
             }
         }
         pad.fill(T::default());
+    }
+}
+
+/// Gathers patches `patches` of group `group` from a zero-bordered `u16`
+/// code map (as written by [`border_map_into`] for an input of dims
+/// `[c, h, w]` and `geom.padding`) straight into the integer GEMM's k-pair
+/// tile (see [`crate::simd`]): `kp/2` rows of `np` words, where word
+/// `(q, j)` holds patch `j`'s codes `2q` (low half) and `2q + 1` (high
+/// half) in the k order `c·k² + ky·k + kx` of [`im2col`]. Lanes
+/// `patches.len()..np` and codes past `K = (c/groups)·k²` are zero; every
+/// word is rewritten on each call. `nonzero[k]` receives how many of the
+/// tile's patches hold a non-zero code at `k` — the census the SP2 add
+/// count needs — and is 0 past `K`.
+///
+/// For each k-pair the gather walks the tile's output rows: one output
+/// row contributes one run per `k`, which for stride 1 is a contiguous
+/// slice of the map, so the two runs interleave as 16-bit halves.
+///
+/// # Panics
+///
+/// Panics when `map` is not `c·(h + 2p)·(w + 2p)` long, channels disagree
+/// with `geom`, `group` is out of range, the kernel does not fit, the patch
+/// range exceeds `out_h·out_w`, `kp` is odd or below `K`, `np` is below the
+/// patch count, `dst` is shorter than `kp/2 · np` or `nonzero` shorter than
+/// `kp`.
+#[allow(clippy::too_many_arguments)]
+pub fn gather_pairs(
+    map: &[u16],
+    [c, h, w]: [usize; 3],
+    geom: &ConvGeometry,
+    group: usize,
+    patches: Range<usize>,
+    kp: usize,
+    np: usize,
+    dst: &mut [u32],
+    nonzero: &mut [u32],
+) {
+    let (hp, wp) = (h + 2 * geom.padding, w + 2 * geom.padding);
+    assert_eq!(map.len(), c * hp * wp, "bordered map length mismatch");
+    assert_eq!(c, geom.in_channels, "channel count mismatch");
+    assert!(group < geom.groups, "group index out of range");
+    let out_w = geom.output_size(w);
+    let total = geom.output_size(h) * out_w;
+    assert!(
+        patches.end <= total,
+        "patch range {patches:?} exceeds {total} patches"
+    );
+    let kk = geom.gemm_k();
+    assert!(
+        kp.is_multiple_of(2) && kp >= kk,
+        "kp must be K rounded up to even"
+    );
+    let n = patches.len();
+    assert!(np >= n, "np below the patch count");
+    assert!(dst.len() >= kp / 2 * np, "pair tile destination too short");
+    assert!(nonzero.len() >= kp, "census shorter than kp");
+    let (dst, nonzero) = (&mut dst[..kp / 2 * np], &mut nonzero[..kp]);
+    if np == 0 {
+        nonzero.fill(0);
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::active_tier() == crate::simd::SimdTier::Avx2 {
+        /// The same gather compiled for AVX2, so its loops vectorise to
+        /// 256-bit lanes; integer results are the same at either width.
+        #[allow(clippy::too_many_arguments)]
+        #[target_feature(enable = "avx2")]
+        fn avx2(
+            map: &[u16],
+            hw: [usize; 2],
+            geom: &ConvGeometry,
+            group: usize,
+            patches: Range<usize>,
+            np: usize,
+            dst: &mut [u32],
+            nonzero: &mut [u32],
+        ) {
+            gather_pairs_into(map, hw, geom, group, patches, np, dst, nonzero)
+        }
+        // SAFETY: the active tier is AVX2 only on a CPU that reports it.
+        #[allow(unsafe_code)]
+        unsafe {
+            avx2(map, [hp, wp], geom, group, patches, np, dst, nonzero)
+        };
+        return;
+    }
+    gather_pairs_into(map, [hp, wp], geom, group, patches, np, dst, nonzero)
+}
+
+/// The body of [`gather_pairs`] on checked arguments: `dst` is the whole
+/// tile and `nonzero` the whole census.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn gather_pairs_into(
+    map: &[u16],
+    [hp, wp]: [usize; 2],
+    geom: &ConvGeometry,
+    group: usize,
+    patches: Range<usize>,
+    np: usize,
+    dst: &mut [u32],
+    nonzero: &mut [u32],
+) {
+    let (k, s, n) = (geom.kernel, geom.stride, patches.len());
+    let out_w = (wp - k) / s + 1;
+    let (cg, plane) = (geom.in_channels / geom.groups, hp * wp);
+    // Map offset of each reduction index from a patch's origin, stepped in
+    // k order: `kx` fastest, then `ky`, then the channel.
+    let (mut kx, mut ky, mut at, mut left) = (0, 0, group * cg * plane, cg * k * k);
+    let mut tap = || {
+        if left == 0 {
+            return None;
+        }
+        let this = at;
+        (left, kx, at) = (left - 1, kx + 1, at + 1);
+        if kx == k {
+            (kx, ky, at) = (0, ky + 1, at + wp - k);
+            if ky == k {
+                (ky, at) = (0, at + plane - k * wp);
+            }
+        }
+        Some(this)
+    };
+    let (oy0, ox0) = (patches.start / out_w, patches.start % out_w);
+    dst.fill(0);
+    for (row, counts) in dst.chunks_exact_mut(np).zip(nonzero.chunks_exact_mut(2)) {
+        if let (Some(a), b) = (tap(), tap()) {
+            // One run per output row the tile touches.
+            let (mut oy, mut ox, mut j) = (oy0, ox0, 0);
+            while j < n {
+                let len = (out_w - ox).min(n - j);
+                let origin = oy * s * wp + ox * s;
+                let (a, b) = (origin + a, b.map(|b| origin + b));
+                let run = &mut row[j..j + len];
+                match (s, b) {
+                    (1, Some(b)) => interleave(run, &map[a..a + len], &map[b..b + len]),
+                    _ => {
+                        for (i, d) in run.iter_mut().enumerate() {
+                            let hi = b.map_or(0, |b| map[b + i * s]);
+                            *d = map[a + i * s] as u32 | (hi as u32) << 16;
+                        }
+                    }
+                }
+                (oy, ox, j) = (oy + 1, 0, j + len);
+            }
+        }
+        let mut count = [0u32; 2];
+        for &word in row.iter() {
+            count[0] += (word & 0xffff != 0) as u32;
+            count[1] += (word >> 16 != 0) as u32;
+        }
+        counts.copy_from_slice(&count);
+    }
+}
+
+/// Writes `lo[i] | hi[i] << 16` into `run`, 8 words per step so that runs
+/// as short as one vector still vectorise.
+#[inline(always)]
+fn interleave(run: &mut [u32], lo: &[u16], hi: &[u16]) {
+    let (len, mut i) = (run.len(), 0);
+    let (lo, hi) = (&lo[..len], &hi[..len]);
+    while i + 8 <= len {
+        let (d, a, b) = (&mut run[i..i + 8], &lo[i..i + 8], &hi[i..i + 8]);
+        for t in 0..8 {
+            d[t] = a[t] as u32 | (b[t] as u32) << 16;
+        }
+        i += 8;
+    }
+    for t in i..len {
+        run[t] = lo[t] as u32 | (hi[t] as u32) << 16;
     }
 }
 
@@ -525,6 +728,92 @@ mod tests {
                                 .all(|&c| c == 0),
                             "code: group {group} patch {} padding",
                             p0 + p
+                        );
+                    }
+                    p0 += count;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pair_tiles_agree_with_row_major_im2col() {
+        for &(ch, h, k, stride, pad, groups) in &[
+            (2usize, 6usize, 3usize, 1usize, 1usize, 1usize),
+            (3, 5, 2, 2, 0, 1),
+            (4, 4, 3, 1, 1, 4),
+            (1, 7, 3, 2, 1, 1),
+            (2, 7, 5, 3, 2, 1),
+            (3, 4, 1, 2, 0, 3),
+            (3, 9, 3, 1, 1, 1),
+            (8, 2, 3, 1, 1, 1),
+        ] {
+            let g = ConvGeometry {
+                in_channels: ch,
+                out_channels: ch,
+                kernel: k,
+                stride,
+                padding: pad,
+                groups,
+            };
+            // Distinct non-zero codes, every fifth one zero, and their f32
+            // twin for the row-major oracle.
+            let codes: Vec<u16> = (1..=(ch * h * h) as u16)
+                .map(|c| if c % 5 == 0 { 0 } else { c })
+                .collect();
+            let twin = Tensor::from_vec(codes.iter().map(|&c| c as f32).collect(), &[ch, h, h]);
+            let twin = twin.unwrap();
+            let mut map = vec![u16::MAX; 3];
+            border_map_into(&codes, [ch, h, h], pad, &mut map, |src, out| {
+                out.copy_from_slice(src)
+            });
+            let patches = g.output_size(h) * g.output_size(h);
+            let kk = g.gemm_k();
+            let kp = kk.next_multiple_of(2);
+            for group in 0..groups {
+                let cols = im2col(&twin, &g, group);
+                let code = |ki: usize, p: usize| if ki < kk { cols.at(&[ki, p]) as u32 } else { 0 };
+                // Uneven tiles into buffers of stale words and counts.
+                let mut p0 = 0;
+                for &count in [1usize, 3, 2, 9, patches].iter() {
+                    let count = count.min(patches - p0);
+                    if count == 0 {
+                        break;
+                    }
+                    let np = count.next_multiple_of(8);
+                    let mut tile = vec![u32::MAX; kp / 2 * np + 5];
+                    let mut nonzero = vec![u32::MAX; kp + 1];
+                    let range = p0..p0 + count;
+                    gather_pairs(
+                        &map,
+                        [ch, h, h],
+                        &g,
+                        group,
+                        range,
+                        kp,
+                        np,
+                        &mut tile,
+                        &mut nonzero,
+                    );
+                    for q in 0..kp / 2 {
+                        for j in 0..np {
+                            let want = if j < count {
+                                code(2 * q, p0 + j) | code(2 * q + 1, p0 + j) << 16
+                            } else {
+                                0
+                            };
+                            assert_eq!(
+                                tile[q * np + j],
+                                want,
+                                "group {group} tile {p0} q {q} lane {j}"
+                            );
+                        }
+                    }
+                    for ki in 0..kp {
+                        let want = (p0..p0 + count).filter(|&p| code(ki, p) != 0).count();
+                        assert_eq!(
+                            nonzero[ki] as usize, want,
+                            "group {group} tile {p0} census k {ki}"
                         );
                     }
                     p0 += count;

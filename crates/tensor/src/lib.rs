@@ -24,8 +24,9 @@
 // Index-heavy numerical kernels read more clearly with explicit loops.
 #![allow(clippy::needless_range_loop)]
 // `deny`, not `forbid`: the sanctioned exceptions are the scoped-task
-// lifetime transmute in `pool::WorkerPool::run` (see its SAFETY comment)
-// and the AVX2 intrinsic island in `simd::avx2`, each carrying a local
+// lifetime transmute in `pool::WorkerPool::run` (see its SAFETY comment),
+// the AVX2 intrinsic island in `simd::avx2`, and the calls into the AVX2
+// builds of `im2col`'s gather and bordered-map copy, each carrying a local
 // `#[allow(unsafe_code)]`. Everything else is safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,42 +1,42 @@
-//! Runtime-dispatched SIMD micro-kernels for packed 4-bit integer GEMM.
+//! Runtime-dispatched SIMD micro-kernel for the integer GEMM.
 //!
-//! The quantization schemes this workspace deploys (fixed-point, P2, SP2 —
-//! all 4-bit) collapse every weight to a small signed integer *numerator*
-//! (|numerator| ≤ 64), two codes packed per byte. That makes the integer
-//! GEMM inner loop a perfect fit for in-register nibble decode: a 16-entry
-//! `pshufb` table lookup turns 32 packed codes into 32 `i8` numerators
-//! without ever materializing an unpacked weight row in memory.
+//! The quantization schemes this workspace deploys (fixed-point, P2, SP2)
+//! collapse every weight to a small signed integer *numerator*, and every
+//! activation to an unsigned code of at most `act.levels()` (≤ 65535). The
+//! kernel reduces a block of weight rows against a **k-pair tile** of codes:
 //!
-//! Three kernel tiers execute the same reduction:
+//! * a row is `Kp` `i16` numerators (`Kp` = `K` rounded up to
+//!   [`K_GRANULE`], zero past `K`), read as `Kp/2` `i32` words with the
+//!   even `k` in the low half;
+//! * a tile is `[Kp/2][np]` `u32` words: word `(q, j)` holds patch `j`'s
+//!   codes `2q` (low half) and `2q + 1` (high half), and `np` is the
+//!   patch count rounded up to [`LANES`]. Lanes past the patch count and
+//!   codes past `K` are zero.
 //!
-//! * [`PackedKernel::I16x16`] — AVX2, 16 lanes: nibbles → `i8` numerators →
-//!   sign-extended `i16`, activations packed `u32 → u16`, `madd_epi16`
-//!   multiply-accumulate into 8 × `i32` partial sums. Requires activations
-//!   ≤ [`MADD_MAX_LEVEL`] and the caller-proven accumulator bound.
-//! * [`PackedKernel::I32x8`] — AVX2, 8 lanes: nibbles → `i32` numerators,
-//!   `mullo_epi32` against `u32` activations (any activation width up to
-//!   16 bits). Same accumulator bound requirement.
-//! * [`PackedKernel::Scalar`] — portable unrolled loop over packed bytes
-//!   (two codes per iteration), exact `i64` accumulation. Always available,
-//!   on every architecture; the reference the vector tiers are pinned to.
+//! Two kernel tiers execute the same reduction:
 //!
-//! The vector tiers consume [`K_GRANULE`] codes per step and reduce each
-//! block of up to [`MAX_COL_BLOCK`] columns in one horizontal pass: an
-//! `hadd` tree over the columns' accumulators and add counts together, and
-//! one store. A reduction whose length is not a multiple of [`K_GRANULE`]
-//! finishes in the scalar loop. The batched engine pads its code tiles and
-//! compiled weight rows to the granule with zero codes, so only unpadded
-//! public calls ever run that tail.
+//! * [`PackedKernel::I16x16`] — AVX2: a block of up to [`ROW_BLOCK`] rows ×
+//!   [`PATCH_BLOCK`] patches accumulates in 8 `madd_epi16` registers, one
+//!   output per `i32` lane, so there is no horizontal reduction. Each step
+//!   loads two tile vectors (16 patches × one k-pair), broadcasts each
+//!   row's pair with `set1_epi32` and multiply-adds; an 8-patch block
+//!   covers the tail. Outputs leave as `cvtepi32_ps × scale`, 8 per store.
+//! * [`PackedKernel::Scalar`] — the portable oracle over the same tile,
+//!   exact `i64` accumulation, for any numerator width
+//!   ([`gemm_scalar`]). Always available, on every architecture; the
+//!   reference the vector tier is pinned to.
 //!
 //! **Exactness.** Integer addition is associative and commutative, so lane
-//! splitting and horizontal reduction produce the *same* accumulator value
-//! as the sequential scalar loop — bit-identical, not approximately equal —
-//! provided no intermediate wraps. The vector tiers accumulate in 32-bit
-//! lanes, so callers must prove `Σ|numerator| × max_activation ≤ i32::MAX`
-//! per row before selecting them; [`select_kernel`] encodes exactly that
-//! rule and falls back to [`PackedKernel::Scalar`] otherwise. Every partial
-//! sum — a lane, or a pair of lanes in the `hadd` tree — adds a subset of
-//! the row's products, so the same bound covers it.
+//! splitting produces the *same* accumulator value as the sequential
+//! scalar loop — bit-identical, not approximately equal — provided no
+//! intermediate wraps. `madd_epi16` reads codes as *signed* 16-bit lanes
+//! and accumulates in 32 bits, so callers must prove
+//! `act.levels() ≤ i16::MAX` and `Σ|numerator| × act.levels() ≤ i32::MAX`
+//! per row before selecting it; [`select_kernel`] encodes exactly that rule
+//! and falls back to [`PackedKernel::Scalar`] otherwise. Every lane's
+//! partial sum adds a subset of the row's products, so the same bound
+//! covers it, and `cvtepi32_ps` of an `i32` equals `as f32` of the same
+//! value held in an `i64`.
 //!
 //! Dispatch is resolved once per process ([`active_tier`]): AVX2 when the
 //! CPU reports it, scalar otherwise, and scalar unconditionally when the
@@ -46,27 +46,38 @@
 
 use std::sync::OnceLock;
 
-/// Maximum activation level the 16-lane `madd` kernel accepts: activations
-/// are reinterpreted as *signed* 16-bit lanes, so they must stay within
-/// `i16::MAX`.
+/// Maximum activation level the `madd` kernel accepts: codes are read as
+/// *signed* 16-bit lanes, so they must stay within `i16::MAX`.
 pub const MADD_MAX_LEVEL: u32 = i16::MAX as u32;
+
+/// Codes per tile word and numerators per broadcast word: rows and tiles
+/// are zero-padded from `K` to a multiple of this.
+pub const K_GRANULE: usize = 2;
+
+/// Patch lanes per vector: tile rows hold a multiple of this many words.
+pub const LANES: usize = 8;
+
+/// Patches per vector-kernel block (two vectors; an 8-patch block covers
+/// the tail).
+pub const PATCH_BLOCK: usize = 16;
+
+/// Most rows one kernel call reduces together.
+pub const ROW_BLOCK: usize = 4;
 
 /// Instruction tier the process dispatches packed kernels to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdTier {
     /// AVX2 vector kernels (x86-64 with runtime-detected AVX2).
     Avx2,
-    /// Portable scalar-unrolled kernels.
+    /// Portable scalar kernels.
     Scalar,
 }
 
-/// The concrete kernel chosen for one packed row × activation-width pair.
+/// The concrete kernel chosen for one row × activation-width pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PackedKernel {
-    /// 16-lane `i16` madd kernel (AVX2).
+    /// Row-blocked `i16` madd kernel (AVX2).
     I16x16,
-    /// 8-lane `i32` mullo kernel (AVX2).
-    I32x8,
     /// Portable scalar loop, exact `i64` accumulation.
     Scalar,
 }
@@ -99,396 +110,221 @@ pub fn detected_tier() -> SimdTier {
     SimdTier::Scalar
 }
 
-/// Picks the kernel for one packed row.
+/// Picks the kernel for one `i16`-numerator row.
 ///
 /// `sum_abs` is the row's `Σ|numerator|` and `max_level` the largest
-/// activation value the quantizer can emit. The vector kernels are selected
-/// only when every possible accumulator stays within `i32` —
-/// `sum_abs × max_level ≤ i32::MAX` — which makes their 32-bit lane partial
-/// sums exact and therefore bit-identical to the scalar `i64` loop.
+/// activation code the quantizer can emit. The vector kernel is selected
+/// only when every code fits a signed 16-bit lane (`max_level ≤`
+/// [`MADD_MAX_LEVEL`]) and every possible accumulator stays within `i32`
+/// (`sum_abs × max_level ≤ i32::MAX`), which makes its 32-bit lane sums
+/// exact and therefore bit-identical to the scalar `i64` loop.
 pub fn select_kernel(tier: SimdTier, max_level: u32, sum_abs: u128) -> PackedKernel {
-    if tier == SimdTier::Scalar {
+    if tier == SimdTier::Scalar
+        || max_level > MADD_MAX_LEVEL
+        || sum_abs * max_level as u128 > i32::MAX as u128
+    {
         return PackedKernel::Scalar;
     }
-    if sum_abs * max_level as u128 > i32::MAX as u128 {
-        return PackedKernel::Scalar;
-    }
-    if max_level <= MADD_MAX_LEVEL {
-        PackedKernel::I16x16
-    } else {
-        PackedKernel::I32x8
-    }
+    PackedKernel::I16x16
 }
 
-/// 16-entry decode table for packed 4-bit codes: signed numerator plus the
-/// "counts an addition when the activation is non-zero" flag per nibble.
+/// Reduces up to [`ROW_BLOCK`] `i16` rows against a k-pair tile:
+/// `out[r·out_stride + j] = (Σ_k rows[r][k] × code(k, j)) as f32 × scales[r]`
+/// for `j < n`. See the [module docs](self) for the row and tile layouts.
 ///
-/// Numerators must fit `i8` — true for every 4-bit scheme in this
-/// workspace (fixed ≤ 7, P2 ≤ 64, SP2 ≤ 8) — which is what makes the
-/// single-`pshufb` decode possible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NibbleLut {
-    nums: [i8; 16],
-    adds: [u8; 16],
-    has_adds: bool,
-}
-
-impl NibbleLut {
-    /// Builds the table from per-nibble numerators and addability flags.
-    pub fn new(nums: [i8; 16], addable: [bool; 16]) -> Self {
-        let mut adds = [0u8; 16];
-        for (slot, &a) in adds.iter_mut().zip(&addable) {
-            *slot = a as u8;
-        }
-        NibbleLut {
-            nums,
-            adds,
-            has_adds: addable.iter().any(|&a| a),
-        }
-    }
-
-    /// Numerator for `nibble` (low 4 bits).
-    #[inline]
-    pub fn num(&self, nibble: u8) -> i64 {
-        self.nums[(nibble & 0xf) as usize] as i64
-    }
-
-    /// Whether `nibble` charges an addition on a non-zero activation.
-    #[inline]
-    pub fn addable(&self, nibble: u8) -> bool {
-        self.adds[(nibble & 0xf) as usize] != 0
-    }
-
-    /// `true` when any nibble is addable (rows without addable codes skip
-    /// the per-element non-zero test entirely).
-    pub fn has_adds(&self) -> bool {
-        self.has_adds
-    }
-}
-
-/// Widest column block the vector kernels decode per pass; callers split
-/// tiles into blocks of up to this many columns so one in-register nibble
-/// decode feeds several reductions.
-pub const MAX_COL_BLOCK: usize = 4;
-
-/// Reduction-length granule of the vector kernels: a `len` that is a
-/// multiple of this many codes runs entirely in vector lanes, with no
-/// scalar tail.
-pub const K_GRANULE: usize = 16;
-
-/// Computes `N` packed-row dot products sharing one weight decode:
-/// `out[j] = (Σ_k cols[j][k] × num(code_k), Σ_k addable(code_k) & (cols[j][k] != 0))`.
-///
-/// `packed` holds `len` 4-bit codes, two per byte, low nibble first. Every
-/// column slice must hold at least `len` activations, and `N` is at most
-/// [`MAX_COL_BLOCK`] (checked at compile time). The vector kernels
-/// additionally require the caller-proven `i32` accumulator bound (see
-/// [`select_kernel`]); [`PackedKernel::I16x16`] also requires every
-/// activation ≤ [`MADD_MAX_LEVEL`]. A vector kernel requested on hardware
-/// without AVX2 silently runs the scalar path, so the function is safe to
-/// call with any `kernel` value.
+/// [`PackedKernel::I16x16`] requires the caller-proven bounds of
+/// [`select_kernel`]; requested on hardware without AVX2 it runs the
+/// scalar oracle, so the function is safe to call with any `kernel`.
 ///
 /// # Panics
 ///
-/// Panics when `packed` holds fewer than `len` nibbles or any column is
-/// shorter than `len`.
-pub fn packed_dot_cols<const N: usize>(
+/// Panics on more than [`ROW_BLOCK`] rows, or on any layout mismatch that
+/// [`gemm_scalar`] refuses.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_pairs(
     kernel: PackedKernel,
-    lut: &NibbleLut,
-    packed: &[u8],
-    len: usize,
-    cols: [&[u32]; N],
-) -> ([i64; N], [usize; N]) {
-    const { assert!(N <= MAX_COL_BLOCK, "column block wider than MAX_COL_BLOCK") };
-    assert!(packed.len() * 2 >= len, "packed stream shorter than len");
-    for col in &cols {
-        assert!(col.len() >= len, "activation column shorter than len");
-    }
+    rows: &[&[i16]],
+    scales: &[f32],
+    tile: &[u32],
+    np: usize,
+    n: usize,
+    out: &mut [f32],
+    out_stride: usize,
+) {
+    assert!(rows.len() <= ROW_BLOCK, "row block wider than ROW_BLOCK");
+    let pairs = check_layout(rows, scales, tile, np, n, out, out_stride);
     match kernel {
-        PackedKernel::Scalar => {
-            let mut accs = [0i64; N];
-            let mut adds = [0usize; N];
-            for j in 0..N {
-                let (a, c) = scalar_dot_range(lut, packed, 0, len, cols[j]);
-                accs[j] = a;
-                adds[j] = c;
-            }
-            (accs, adds)
-        }
         #[cfg(target_arch = "x86_64")]
-        PackedKernel::I16x16 | PackedKernel::I32x8 => {
-            if !std::arch::is_x86_feature_detected!("avx2") {
-                return packed_dot_cols(PackedKernel::Scalar, lut, packed, len, cols);
-            }
-            // SAFETY: AVX2 support was just verified on this CPU.
+        PackedKernel::I16x16 if std::arch::is_x86_feature_detected!("avx2") => {
+            // SAFETY: AVX2 support was just verified on this CPU, and
+            // `check_layout` proved every load and store in bounds.
             #[allow(unsafe_code)]
             unsafe {
-                if kernel == PackedKernel::I16x16 {
-                    if lut.has_adds {
-                        avx2::dot_i16::<N, true>(lut, packed, len, cols)
-                    } else {
-                        avx2::dot_i16::<N, false>(lut, packed, len, cols)
-                    }
-                } else if lut.has_adds {
-                    avx2::dot_i32::<N, true>(lut, packed, len, cols)
-                } else {
-                    avx2::dot_i32::<N, false>(lut, packed, len, cols)
+                match rows.len() {
+                    1 => avx2::gemm_i16::<1>(rows, scales, tile, np, n, pairs, out, out_stride),
+                    2 => avx2::gemm_i16::<2>(rows, scales, tile, np, n, pairs, out, out_stride),
+                    3 => avx2::gemm_i16::<3>(rows, scales, tile, np, n, pairs, out, out_stride),
+                    4 => avx2::gemm_i16::<4>(rows, scales, tile, np, n, pairs, out, out_stride),
+                    _ => {}
                 }
             }
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        PackedKernel::I16x16 | PackedKernel::I32x8 => {
-            packed_dot_cols(PackedKernel::Scalar, lut, packed, len, cols)
+        _ => gemm_scalar(rows, scales, tile, np, n, out, out_stride),
+    }
+}
+
+/// The portable oracle of [`gemm_pairs`], for rows of any numerator width
+/// and any number of rows: the same tile, the same outputs, exact `i64`
+/// accumulation (the caller proves `Σ|numerator| × max code ≤ i64::MAX`).
+///
+/// # Panics
+///
+/// Panics when `scales` does not hold one scale per row, the rows differ
+/// in length or hold an odd number of numerators, `np` is not a multiple
+/// of [`LANES`] or is smaller than `n`, `tile` is shorter than
+/// `Kp/2 × np` words, or `out` is shorter than `[rows, out_stride]` with
+/// `n` outputs in the last row.
+pub fn gemm_scalar<W: Copy + Into<i64>>(
+    rows: &[&[W]],
+    scales: &[f32],
+    tile: &[u32],
+    np: usize,
+    n: usize,
+    out: &mut [f32],
+    out_stride: usize,
+) {
+    check_layout(rows, scales, tile, np, n, out, out_stride);
+    for (r, (row, &scale)) in rows.iter().zip(scales).enumerate() {
+        let dst = &mut out[r * out_stride..][..n];
+        for (j0, block) in (0..n).step_by(LANES).zip(dst.chunks_mut(LANES)) {
+            let mut acc = [0i64; LANES];
+            for (q, pair) in row.chunks_exact(2).enumerate() {
+                let (lo, hi): (i64, i64) = (pair[0].into(), pair[1].into());
+                for (a, &word) in acc.iter_mut().zip(&tile[q * np + j0..][..LANES]) {
+                    *a += (word & 0xffff) as i64 * lo + (word >> 16) as i64 * hi;
+                }
+            }
+            for (y, &a) in block.iter_mut().zip(&acc) {
+                *y = a as f32 * scale;
+            }
         }
     }
 }
 
-/// Scalar reference reduction over codes `k0..k1` of the packed stream —
-/// the exact loop the vector kernels are pinned bit-identical to, and the
-/// tail handler for lengths that are not a lane-width multiple. `k0` must
-/// be even (a byte boundary).
-fn scalar_dot_range(
-    lut: &NibbleLut,
-    packed: &[u8],
-    k0: usize,
-    k1: usize,
-    col: &[u32],
-) -> (i64, usize) {
-    debug_assert_eq!(k0 % 2, 0, "tail must start on a byte boundary");
-    let mut acc = 0i64;
-    let mut adds = 0usize;
-    let mut k = k0;
-    // Two codes per byte: decode both nibbles, multiply-accumulate each.
-    while k + 2 <= k1 {
-        let byte = packed[k / 2];
-        let (a0, a1) = (col[k] as i64, col[k + 1] as i64);
-        acc += a0 * lut.num(byte);
-        acc += a1 * lut.num(byte >> 4);
-        if lut.has_adds {
-            adds += (lut.addable(byte) && a0 != 0) as usize;
-            adds += (lut.addable(byte >> 4) && a1 != 0) as usize;
-        }
-        k += 2;
-    }
-    if k < k1 {
-        let byte = packed[k / 2];
-        let a = col[k] as i64;
-        acc += a * lut.num(byte);
-        if lut.has_adds {
-            adds += (lut.addable(byte) && a != 0) as usize;
-        }
-    }
-    (acc, adds)
+/// Checks the layout both kernels share and returns the k-pair count.
+fn check_layout<W>(
+    rows: &[&[W]],
+    scales: &[f32],
+    tile: &[u32],
+    np: usize,
+    n: usize,
+    out: &[f32],
+    out_stride: usize,
+) -> usize {
+    assert_eq!(rows.len(), scales.len(), "one scale per row");
+    let len = rows.first().map_or(0, |r| r.len());
+    assert!(
+        len.is_multiple_of(2) && rows.iter().all(|r| r.len() == len),
+        "rows must hold the same even number of numerators"
+    );
+    assert!(
+        np.is_multiple_of(LANES) && n <= np,
+        "np must be n rounded up to LANES"
+    );
+    let pairs = len / 2;
+    assert!(
+        tile.len() >= pairs * np,
+        "tile shorter than Kp/2 × np words"
+    );
+    assert!(
+        rows.is_empty() || (rows.len() - 1) * out_stride + n <= out.len(),
+        "output buffer too short for [rows, out_stride]"
+    );
+    pairs
 }
 
-/// AVX2 kernels. The whole submodule is the crate's second sanctioned
+/// The AVX2 kernel. The whole submodule is the crate's second sanctioned
 /// `unsafe` island (next to the worker-pool scoped-task transmute): every
 /// function is `unsafe fn` gated on the caller having verified AVX2 at
-/// runtime, and the only unsafe operations are unaligned vector loads from
-/// bounds-checked slices.
+/// runtime, the loads read within slices whose lengths the safe wrapper
+/// checked, and the stores go through bounds-checked slices.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
-    use super::NibbleLut;
     use std::arch::x86_64::*;
 
-    /// Decoded numerators for 16 consecutive codes, as 16 × `i8` in element
-    /// order (low nibble of byte 0 first).
-    #[inline]
+    /// `R` rows against the tile, 16 patches per block plus an 8-patch
+    /// tail. Caller guarantees AVX2, the layout `check_layout` checks,
+    /// codes ≤ `i16::MAX` and each row's `i32` bound.
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
-    unsafe fn decode16(table: __m128i, bytes: __m128i) -> (__m128i, __m128i) {
-        let low_mask = _mm_set1_epi8(0x0f);
-        let lo = _mm_and_si128(bytes, low_mask);
-        let hi = _mm_and_si128(_mm_srli_epi16::<4>(bytes), low_mask);
-        let even = _mm_shuffle_epi8(table, lo);
-        let odd = _mm_shuffle_epi8(table, hi);
-        // Interleaving even/odd byte lanes restores element order:
-        // lo-nibble code 0, hi-nibble code 0, lo-nibble code 1, …
-        (_mm_unpacklo_epi8(even, odd), _mm_unpackhi_epi8(even, odd))
-    }
-
-    /// Loads 16 `u32` activations starting at `col[k]` and packs them to 16
-    /// unsigned 16-bit lanes in element order. Values must fit `u16`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn load_act16(col: &[u32], k: usize) -> __m256i {
-        debug_assert!(k + 16 <= col.len());
-        let a = _mm256_loadu_si256(col.as_ptr().add(k) as *const __m256i);
-        let b = _mm256_loadu_si256(col.as_ptr().add(k + 8) as *const __m256i);
-        // packus interleaves 128-bit halves; permute restores order.
-        _mm256_permute4x64_epi64::<0b11011000>(_mm256_packus_epi32(a, b))
-    }
-
-    /// One horizontal pass over a block of up to 4 columns: the 8 `i32`
-    /// lanes of each column's accumulator and add count are summed by an
-    /// `hadd` tree (missing columns read as zero) and leave in one store.
-    /// Exact under the row's `i32` bound: every partial sum adds a subset
-    /// of the column's products.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn hsum_block<const N: usize>(
-        acc: [__m256i; N],
-        cnt: [__m256i; N],
-    ) -> ([i64; N], [usize; N]) {
-        let zero = _mm256_setzero_si256();
-        let at = |v: &[__m256i; N], j: usize| if j < N { v[j] } else { zero };
-        // Per 128-bit half: [Σ col0, Σ col1, Σ col2, Σ col3] over 4 lanes.
-        let a = _mm256_hadd_epi32(
-            _mm256_hadd_epi32(at(&acc, 0), at(&acc, 1)),
-            _mm256_hadd_epi32(at(&acc, 2), at(&acc, 3)),
-        );
-        let c = _mm256_hadd_epi32(
-            _mm256_hadd_epi32(at(&cnt, 0), at(&cnt, 1)),
-            _mm256_hadd_epi32(at(&cnt, 2), at(&cnt, 3)),
-        );
-        // [a.lo + a.hi, c.lo + c.hi]: four accumulators, then four counts.
-        let sums = _mm256_add_epi32(
-            _mm256_permute2x128_si256::<0x20>(a, c),
-            _mm256_permute2x128_si256::<0x31>(a, c),
-        );
-        let mut lanes = [0i32; 8];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, sums);
-        (
-            std::array::from_fn(|j| lanes[j] as i64),
-            std::array::from_fn(|j| lanes[4 + j] as usize),
-        )
-    }
-
-    /// Adds the scalar reduction of codes `k..len` — only reached when
-    /// `len` is not a multiple of [`super::K_GRANULE`].
-    #[inline]
-    fn add_tail<const N: usize>(
-        sums: &mut ([i64; N], [usize; N]),
-        lut: &NibbleLut,
-        packed: &[u8],
-        k: usize,
-        len: usize,
-        cols: [&[u32]; N],
+    pub unsafe fn gemm_i16<const R: usize>(
+        rows: &[&[i16]],
+        scales: &[f32],
+        tile: &[u32],
+        np: usize,
+        n: usize,
+        pairs: usize,
+        out: &mut [f32],
+        out_stride: usize,
     ) {
-        if k < len {
-            for j in 0..N {
-                let (tail_acc, tail_adds) = super::scalar_dot_range(lut, packed, k, len, cols[j]);
-                sums.0[j] += tail_acc;
-                sums.1[j] += tail_adds;
+        let weights: [*const i32; R] = std::array::from_fn(|r| rows[r].as_ptr() as *const i32);
+        let mut scale = [_mm256_setzero_ps(); R];
+        for r in 0..R {
+            scale[r] = _mm256_set1_ps(scales[r]);
+        }
+        let mut j = 0;
+        while j < n {
+            // `np` is `n` rounded up to 8, so a block past `j + 8` has 16
+            // lanes of tile.
+            let mut t = tile.as_ptr().add(j);
+            if j + 8 < n {
+                let mut acc = [[_mm256_setzero_si256(); 2]; R];
+                for q in 0..pairs {
+                    let a0 = _mm256_loadu_si256(t as *const __m256i);
+                    let a1 = _mm256_loadu_si256(t.add(8) as *const __m256i);
+                    for r in 0..R {
+                        let w = _mm256_set1_epi32(weights[r].add(q).read_unaligned());
+                        acc[r][0] = _mm256_add_epi32(acc[r][0], _mm256_madd_epi16(a0, w));
+                        acc[r][1] = _mm256_add_epi32(acc[r][1], _mm256_madd_epi16(a1, w));
+                    }
+                    t = t.add(np);
+                }
+                for r in 0..R {
+                    store(out, r * out_stride + j, n - j, acc[r][0], scale[r]);
+                    store(out, r * out_stride + j + 8, n - j - 8, acc[r][1], scale[r]);
+                }
+                j += 16;
+            } else {
+                let mut acc = [_mm256_setzero_si256(); R];
+                for q in 0..pairs {
+                    let a = _mm256_loadu_si256(t as *const __m256i);
+                    for r in 0..R {
+                        let w = _mm256_set1_epi32(weights[r].add(q).read_unaligned());
+                        acc[r] = _mm256_add_epi32(acc[r], _mm256_madd_epi16(a, w));
+                    }
+                    t = t.add(np);
+                }
+                for r in 0..R {
+                    store(out, r * out_stride + j, n - j, acc[r], scale[r]);
+                }
+                j += 8;
             }
         }
     }
 
-    /// 16-lane kernel: `madd_epi16` over `i16` numerators × `u16`
-    /// activations, `N` columns per weight decode. Caller guarantees AVX2,
-    /// activations ≤ `i16::MAX`, and the per-row `i32` accumulator bound.
+    /// Stores `min(count, 8)` outputs `acc as f32 × scale` at `out[at..]`.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_i16<const N: usize, const COUNT: bool>(
-        lut: &NibbleLut,
-        packed: &[u8],
-        len: usize,
-        cols: [&[u32]; N],
-    ) -> ([i64; N], [usize; N]) {
-        let table = _mm_loadu_si128(lut.nums.as_ptr() as *const __m128i);
-        let add_table = _mm_loadu_si128(lut.adds.as_ptr() as *const __m128i);
-        let ones = _mm256_set1_epi16(1);
-        let zero = _mm256_setzero_si256();
-        let mut acc = [zero; N];
-        let mut cnt = [zero; N];
-        let mut k = 0usize;
-        while k + 32 <= len {
-            let bytes = _mm_loadu_si128(packed.as_ptr().add(k / 2) as *const __m128i);
-            let (seq0, seq1) = decode16(table, bytes);
-            let n0 = _mm256_cvtepi8_epi16(seq0);
-            let n1 = _mm256_cvtepi8_epi16(seq1);
-            let (m0, m1) = if COUNT {
-                let (s0, s1) = decode16(add_table, bytes);
-                (_mm256_cvtepi8_epi16(s0), _mm256_cvtepi8_epi16(s1))
-            } else {
-                (zero, zero)
-            };
-            for j in 0..N {
-                let a0 = load_act16(cols[j], k);
-                let a1 = load_act16(cols[j], k + 16);
-                acc[j] = _mm256_add_epi32(acc[j], _mm256_madd_epi16(a0, n0));
-                acc[j] = _mm256_add_epi32(acc[j], _mm256_madd_epi16(a1, n1));
-                if COUNT {
-                    let nz0 = _mm256_andnot_si256(_mm256_cmpeq_epi16(a0, zero), ones);
-                    let nz1 = _mm256_andnot_si256(_mm256_cmpeq_epi16(a1, zero), ones);
-                    cnt[j] = _mm256_add_epi32(cnt[j], _mm256_madd_epi16(m0, nz0));
-                    cnt[j] = _mm256_add_epi32(cnt[j], _mm256_madd_epi16(m1, nz1));
-                }
-            }
-            k += 32;
+    unsafe fn store(out: &mut [f32], at: usize, count: usize, acc: __m256i, scale: __m256) {
+        let y = _mm256_mul_ps(_mm256_cvtepi32_ps(acc), scale);
+        if count >= 8 {
+            _mm256_storeu_ps(out[at..at + 8].as_mut_ptr(), y);
+        } else {
+            let mut lanes = [0f32; 8];
+            _mm256_storeu_ps(lanes.as_mut_ptr(), y);
+            out[at..at + count].copy_from_slice(&lanes[..count]);
         }
-        if k + 16 <= len {
-            let bytes = _mm_loadl_epi64(packed.as_ptr().add(k / 2) as *const __m128i);
-            let (seq0, _) = decode16(table, bytes);
-            let n0 = _mm256_cvtepi8_epi16(seq0);
-            let m0 = if COUNT {
-                let (s0, _) = decode16(add_table, bytes);
-                _mm256_cvtepi8_epi16(s0)
-            } else {
-                zero
-            };
-            for j in 0..N {
-                let a0 = load_act16(cols[j], k);
-                acc[j] = _mm256_add_epi32(acc[j], _mm256_madd_epi16(a0, n0));
-                if COUNT {
-                    let nz0 = _mm256_andnot_si256(_mm256_cmpeq_epi16(a0, zero), ones);
-                    cnt[j] = _mm256_add_epi32(cnt[j], _mm256_madd_epi16(m0, nz0));
-                }
-            }
-            k += 16;
-        }
-        let mut sums = hsum_block(acc, cnt);
-        add_tail(&mut sums, lut, packed, k, len, cols);
-        sums
-    }
-
-    /// 8-lane kernel: `mullo_epi32` over `i32` numerators × `u32`
-    /// activations (full 16-bit activation range), `N` columns per decode.
-    /// Caller guarantees AVX2 and the per-row `i32` accumulator bound.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_i32<const N: usize, const COUNT: bool>(
-        lut: &NibbleLut,
-        packed: &[u8],
-        len: usize,
-        cols: [&[u32]; N],
-    ) -> ([i64; N], [usize; N]) {
-        let table = _mm_loadu_si128(lut.nums.as_ptr() as *const __m128i);
-        let add_table = _mm_loadu_si128(lut.adds.as_ptr() as *const __m128i);
-        let ones = _mm256_set1_epi32(1);
-        let zero = _mm256_setzero_si256();
-        let mut acc = [zero; N];
-        let mut cnt = [zero; N];
-        let mut k = 0usize;
-        while k + 16 <= len {
-            let bytes = _mm_loadl_epi64(packed.as_ptr().add(k / 2) as *const __m128i);
-            let (seq, _) = decode16(table, bytes);
-            let n0 = _mm256_cvtepi8_epi32(seq);
-            let n1 = _mm256_cvtepi8_epi32(_mm_srli_si128::<8>(seq));
-            let (m0, m1) = if COUNT {
-                let (s, _) = decode16(add_table, bytes);
-                (
-                    _mm256_cvtepi8_epi32(s),
-                    _mm256_cvtepi8_epi32(_mm_srli_si128::<8>(s)),
-                )
-            } else {
-                (zero, zero)
-            };
-            for j in 0..N {
-                let a0 = _mm256_loadu_si256(cols[j].as_ptr().add(k) as *const __m256i);
-                let a1 = _mm256_loadu_si256(cols[j].as_ptr().add(k + 8) as *const __m256i);
-                acc[j] = _mm256_add_epi32(acc[j], _mm256_mullo_epi32(a0, n0));
-                acc[j] = _mm256_add_epi32(acc[j], _mm256_mullo_epi32(a1, n1));
-                if COUNT {
-                    let nz0 = _mm256_andnot_si256(_mm256_cmpeq_epi32(a0, zero), ones);
-                    let nz1 = _mm256_andnot_si256(_mm256_cmpeq_epi32(a1, zero), ones);
-                    cnt[j] = _mm256_add_epi32(cnt[j], _mm256_and_si256(m0, nz0));
-                    cnt[j] = _mm256_add_epi32(cnt[j], _mm256_and_si256(m1, nz1));
-                }
-            }
-            k += 16;
-        }
-        let mut sums = hsum_block(acc, cnt);
-        add_tail(&mut sums, lut, packed, k, len, cols);
-        sums
     }
 }
 
@@ -497,65 +333,86 @@ mod tests {
     use super::*;
     use crate::rng::TensorRng;
 
-    /// A LUT resembling the 4-bit schemes: mixed signs, a couple of
-    /// addable entries, magnitudes up to 64.
-    fn test_lut(addable_any: bool) -> NibbleLut {
-        let nums: [i8; 16] = [0, 1, -2, 3, -4, 5, -6, 7, 8, -12, 16, -24, 32, -48, 64, -5];
-        let mut addable = [false; 16];
-        if addable_any {
-            addable[3] = true;
-            addable[9] = true;
-            addable[14] = true;
-        }
-        NibbleLut::new(nums, addable)
-    }
-
-    fn random_case(
+    /// A random block: `rows` rows of `kp` numerators within `±max_num`
+    /// (zero past `k`), and a `[kp/2][np]` tile of `n` patches' codes up
+    /// to `max_level`, every `zero_every`-th one zero.
+    fn random_block(
         rng: &mut TensorRng,
-        len: usize,
+        (rows, k, n): (usize, usize, usize),
+        max_num: i16,
         max_level: u32,
-        zero_every: usize,
-    ) -> (Vec<u8>, Vec<u32>) {
-        let packed: Vec<u8> = (0..len.div_ceil(2))
-            .map(|_| (rng.uniform_in(0.0, 255.9) as u32) as u8)
+    ) -> (Vec<Vec<i16>>, Vec<u32>, usize) {
+        let kp = k.next_multiple_of(K_GRANULE);
+        let np = n.next_multiple_of(LANES);
+        let nums = (0..rows)
+            .map(|_| {
+                (0..kp)
+                    .map(|i| {
+                        if i < k {
+                            rng.uniform_in(-(max_num as f32), max_num as f32 + 0.9) as i16
+                        } else {
+                            0
+                        }
+                    })
+                    .collect()
+            })
             .collect();
-        let col: Vec<u32> = (0..len)
-            .map(|i| {
-                if zero_every > 0 && i % zero_every == 0 {
+        let mut tile = vec![0u32; kp / 2 * np];
+        for kk in 0..k {
+            for j in 0..n {
+                let code = if (kk + j) % 4 == 0 {
                     0
                 } else {
                     rng.uniform_in(0.0, max_level as f32 + 0.9) as u32
-                }
-            })
-            .collect();
-        (packed, col)
+                };
+                tile[kk / 2 * np + j] |= code.min(max_level) << (16 * (kk % 2));
+            }
+        }
+        (nums, tile, np)
     }
 
-    /// Naive per-element reference, independent of the kernel loops.
-    fn naive(lut: &NibbleLut, packed: &[u8], len: usize, col: &[u32]) -> (i64, usize) {
-        let mut acc = 0i64;
-        let mut adds = 0usize;
-        for k in 0..len {
-            let byte = packed[k / 2];
-            let nib = if k % 2 == 0 { byte & 0xf } else { byte >> 4 };
-            acc += col[k] as i64 * lut.num(nib);
-            adds += (lut.addable(nib) && col[k] != 0) as usize;
+    /// Naive per-element reference, independent of both kernels' loops.
+    fn naive(nums: &[Vec<i16>], tile: &[u32], np: usize, n: usize, scales: &[f32]) -> Vec<f32> {
+        let mut out = Vec::new();
+        for (row, &scale) in nums.iter().zip(scales) {
+            for j in 0..n {
+                let acc: i64 = (0..row.len())
+                    .map(|k| {
+                        let code = (tile[k / 2 * np + j] >> (16 * (k % 2))) & 0xffff;
+                        code as i64 * row[k] as i64
+                    })
+                    .sum();
+                out.push(acc as f32 * scale);
+            }
         }
-        (acc, adds)
+        out
+    }
+
+    /// Runs `kernel` over `nums` with `out_stride = n`.
+    fn run(kernel: PackedKernel, nums: &[Vec<i16>], tile: &[u32], np: usize, n: usize) -> Vec<f32> {
+        let scales: Vec<f32> = (0..nums.len()).map(|r| 0.013 * (r + 1) as f32).collect();
+        let mut out = vec![f32::NAN; nums.len() * n];
+        for (block, (chunk, sc)) in out
+            .chunks_mut(ROW_BLOCK * n)
+            .zip(nums.chunks(ROW_BLOCK).zip(scales.chunks(ROW_BLOCK)))
+        {
+            let rows: Vec<&[i16]> = chunk.iter().map(|r| &r[..]).collect();
+            gemm_pairs(kernel, &rows, sc, tile, np, n, block, n);
+        }
+        out
     }
 
     #[test]
     fn scalar_kernel_matches_naive_reference() {
         let mut rng = TensorRng::seed_from(1);
-        for &len in &[0usize, 1, 2, 3, 15, 16, 17, 31, 32, 33, 64, 100] {
-            for addable in [false, true] {
-                let lut = test_lut(addable);
-                let (packed, col) = random_case(&mut rng, len, 15, 3);
-                let (accs, adds) =
-                    packed_dot_cols::<1>(PackedKernel::Scalar, &lut, &packed, len, [&col]);
-                let (r_acc, r_adds) = naive(&lut, &packed, len, &col);
-                assert_eq!((accs[0], adds[0]), (r_acc, r_adds), "len {len}");
-            }
+        for &(rows, k, n) in &[(1, 0, 1), (1, 1, 1), (3, 7, 5), (4, 32, 16), (9, 77, 33)] {
+            let (nums, tile, np) = random_block(&mut rng, (rows, k, n), 64, 15);
+            let scales: Vec<f32> = (0..rows).map(|r| 0.013 * (r + 1) as f32).collect();
+            assert_eq!(
+                run(PackedKernel::Scalar, &nums, &tile, np, n),
+                naive(&nums, &tile, np, n, &scales),
+                "rows {rows} k {k} n {n}"
+            );
         }
     }
 
@@ -566,87 +423,128 @@ mod tests {
             return;
         }
         let mut rng = TensorRng::seed_from(2);
-        for &len in &[
-            1usize, 7, 15, 16, 17, 27, 31, 32, 33, 48, 63, 64, 65, 96, 577,
-        ] {
-            for addable in [false, true] {
-                for &(kernel, max_level) in &[
-                    (PackedKernel::I16x16, 15u32),
-                    (PackedKernel::I16x16, MADD_MAX_LEVEL),
-                    (PackedKernel::I32x8, 65535),
-                ] {
-                    let lut = test_lut(addable);
-                    let (packed, col) = random_case(&mut rng, len, max_level, 4);
-                    let scalar =
-                        packed_dot_cols::<1>(PackedKernel::Scalar, &lut, &packed, len, [&col]);
-                    let vector = packed_dot_cols::<1>(kernel, &lut, &packed, len, [&col]);
-                    assert_eq!(vector, scalar, "kernel {kernel:?} len {len}");
+        // Ragged rows (1–9), n (1–40) and Kp (16–304), at 4-bit codes and
+        // at the `madd` ceiling.
+        for rows in 1..=9 {
+            for &n in &[1usize, 7, 8, 9, 15, 16, 17, 24, 31, 33, 40] {
+                for &k in &[16usize, 17, 31, 144, 303] {
+                    for max_level in [15, MADD_MAX_LEVEL] {
+                        let (nums, tile, np) = random_block(&mut rng, (rows, k, n), 64, max_level);
+                        assert_eq!(
+                            run(PackedKernel::I16x16, &nums, &tile, np, n),
+                            run(PackedKernel::Scalar, &nums, &tile, np, n),
+                            "rows {rows} n {n} k {k} level {max_level}"
+                        );
+                    }
                 }
             }
         }
     }
 
     #[test]
+    fn saturated_activations_at_madd_limit_stay_exact() {
+        // Every code at 32767 against numerators whose Σ|num| × 32767 is
+        // exactly the largest multiple of 32767 within i32::MAX: the
+        // accumulator peaks at the bound, in both signs.
+        let max_sum = (i32::MAX as u32 / MADD_MAX_LEVEL) as usize; // 65538
+        assert_eq!(
+            select_kernel(SimdTier::Avx2, MADD_MAX_LEVEL, max_sum as u128),
+            PackedKernel::I16x16
+        );
+        let k = max_sum.div_ceil(i16::MAX as usize);
+        let n = 19usize;
+        let np = n.next_multiple_of(LANES);
+        let mut left = max_sum;
+        let row: Vec<i16> = (0..k.next_multiple_of(K_GRANULE))
+            .map(|_| {
+                let v = left.min(i16::MAX as usize);
+                left -= v;
+                v as i16
+            })
+            .collect();
+        let negated: Vec<i16> = row.iter().map(|&v| -v).collect();
+        let word = MADD_MAX_LEVEL | MADD_MAX_LEVEL << 16;
+        let mut tile = vec![0u32; row.len() / 2 * np];
+        for q in 0..row.len() / 2 {
+            tile[q * np..q * np + n].fill(word);
+        }
+        let nums = vec![row, negated];
+        let scalar = run(PackedKernel::Scalar, &nums, &tile, np, n);
+        let peak = (max_sum as i64 * MADD_MAX_LEVEL as i64) as f32 * 0.013;
+        assert_eq!(scalar[0], peak);
+        assert_eq!(run(PackedKernel::I16x16, &nums, &tile, np, n), scalar);
+    }
+
+    #[test]
     fn column_blocks_match_single_column_calls() {
-        let mut rng = TensorRng::seed_from(3);
-        let lut = test_lut(true);
-        for kernel in [
-            PackedKernel::Scalar,
-            PackedKernel::I16x16,
-            PackedKernel::I32x8,
-        ] {
-            let len = 53;
-            let (packed, _) = random_case(&mut rng, len, 15, 0);
-            let cols: Vec<Vec<u32>> = (0..4)
-                .map(|j| random_case(&mut rng, len, 15, 2 + j).1)
-                .collect();
-            let (accs, adds) = packed_dot_cols::<4>(
-                kernel,
-                &lut,
-                &packed,
-                len,
-                [&cols[0], &cols[1], &cols[2], &cols[3]],
-            );
-            for j in 0..4 {
-                let (a1, c1) = packed_dot_cols::<1>(kernel, &lut, &packed, len, [&cols[j]]);
-                assert_eq!((accs[j], adds[j]), (a1[0], c1[0]), "{kernel:?} col {j}");
+        // A tile of 33 patches (two 16-patch blocks and an 8-lane tail)
+        // equals each patch reduced as a one-patch tile of its own.
+        let mut rng = TensorRng::seed_from(4);
+        let n = 33;
+        let (nums, tile, np) = random_block(&mut rng, (4, 45, n), 64, 15);
+        for kernel in [PackedKernel::Scalar, PackedKernel::I16x16] {
+            let full = run(kernel, &nums, &tile, np, n);
+            for j in 0..n {
+                let column: Vec<u32> = tile
+                    .chunks(np)
+                    .flat_map(|row| [row[j], 0, 0, 0, 0, 0, 0, 0])
+                    .collect();
+                let single = run(kernel, &nums, &column, LANES, 1);
+                for r in 0..4 {
+                    assert_eq!(single[r], full[r * n + j], "{kernel:?} row {r} patch {j}");
+                }
             }
         }
     }
 
     #[test]
     fn select_kernel_enforces_the_i32_bound() {
-        // Comfortably inside the bound: vector tiers allowed.
+        // Comfortably inside the bound: the vector kernel is allowed.
         assert_eq!(
             select_kernel(SimdTier::Avx2, 15, 64 * 1024),
             PackedKernel::I16x16
         );
+        // Levels above i16::MAX (16-bit activations) select Scalar,
+        // however small the row.
         assert_eq!(
-            select_kernel(SimdTier::Avx2, 65535, 100),
-            PackedKernel::I32x8
-        );
-        // Exactly at the bound: still allowed.
-        let at = (i32::MAX as u128) / 15;
-        assert_eq!(select_kernel(SimdTier::Avx2, 15, at), PackedKernel::I16x16);
-        // One past: scalar.
-        assert_eq!(
-            select_kernel(SimdTier::Avx2, 15, at + 1),
+            select_kernel(SimdTier::Avx2, 65535, 1),
             PackedKernel::Scalar
         );
+        assert_eq!(
+            select_kernel(SimdTier::Avx2, MADD_MAX_LEVEL + 1, 1),
+            PackedKernel::Scalar
+        );
+        // Exactly at the bound: still allowed; one past: scalar.
+        for level in [15, MADD_MAX_LEVEL] {
+            let at = (i32::MAX as u128) / level as u128;
+            assert_eq!(
+                select_kernel(SimdTier::Avx2, level, at),
+                PackedKernel::I16x16
+            );
+            assert_eq!(
+                select_kernel(SimdTier::Avx2, level, at + 1),
+                PackedKernel::Scalar
+            );
+        }
         // Scalar tier never vectorizes.
         assert_eq!(select_kernel(SimdTier::Scalar, 15, 1), PackedKernel::Scalar);
     }
 
     #[test]
-    fn saturated_activations_at_madd_limit_stay_exact() {
-        let lut = test_lut(true);
-        let len = 40;
-        let packed: Vec<u8> = (0..20).map(|i| (i * 13 + 7) as u8).collect();
-        let col = vec![MADD_MAX_LEVEL; len];
-        let scalar = packed_dot_cols::<1>(PackedKernel::Scalar, &lut, &packed, len, [&col]);
-        let vector = packed_dot_cols::<1>(PackedKernel::I16x16, &lut, &packed, len, [&col]);
-        assert_eq!(vector, scalar);
-        let wide = packed_dot_cols::<1>(PackedKernel::I32x8, &lut, &packed, len, [&col]);
-        assert_eq!(wide, scalar);
+    fn wide_numerators_run_the_generic_oracle() {
+        // i64 rows through `gemm_scalar` equal the same values as i16
+        // rows through either tier.
+        let mut rng = TensorRng::seed_from(3);
+        let (nums, tile, np) = random_block(&mut rng, (3, 53, 21), 64, 255);
+        let wide: Vec<Vec<i64>> = nums
+            .iter()
+            .map(|r| r.iter().map(|&v| v as i64).collect())
+            .collect();
+        let rows: Vec<&[i64]> = wide.iter().map(|r| &r[..]).collect();
+        let scales = [0.013, 0.026, 0.039];
+        let mut out = vec![0.0; 3 * 21];
+        gemm_scalar(&rows, &scales, &tile, np, 21, &mut out, 21);
+        assert_eq!(out, run(PackedKernel::Scalar, &nums, &tile, np, 21));
+        assert_eq!(out, run(PackedKernel::I16x16, &nums, &tile, np, 21));
     }
 }

@@ -12,6 +12,7 @@ use mixmatch::obs::SampleValue;
 use mixmatch::prelude::*;
 use mixmatch::quant::engine::BatchEngine;
 use mixmatch::quant::export::{export_compiled, import_compiled};
+use mixmatch::quant::integer::ActQuantizer;
 use std::sync::Mutex;
 
 /// Serializes the tests: each reads the global counter before and after.
@@ -133,4 +134,36 @@ fn a_fresh_import_compiles_again() {
         }
         assert_eq!(compiled_rows() - before, expected);
     }
+}
+
+/// Rows compiled so far under one tier label.
+fn rows_under(tier: &str) -> u64 {
+    Registry::global()
+        .snapshot()
+        .counter("mixmatch_kernel_rows_total", &[("tier", tier)])
+        .unwrap_or(0)
+}
+
+#[test]
+fn kernel_rows_count_under_the_kernel_they_run() {
+    let _turn = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+    // 4-bit P2 rows over K = 4096 sum to Σ|num| ≈ 52k, past the vector
+    // kernel's i32 bound for 16-bit activations (i32::MAX / 65535 = 32768),
+    // and 16-bit codes exceed the kernel's i16 lanes anyway: every row runs
+    // the scalar oracle, so every row counts as `scalar`, on any host.
+    let mut rng = TensorRng::seed_from(4);
+    let mut model = Sequential::new();
+    model.push(Linear::with_name("fc", 4096, 3, false, &mut rng));
+    let compiled = QuantPipeline::from_policy(MsqPolicy::single(Scheme::Pow2, 4))
+        .with_act_quantizer(ActQuantizer::new(16, 1.0))
+        .with_input_shape(&[4096])
+        .quantize(&mut model)
+        .expect("quantize one-dense model");
+    let input = Tensor::rand_uniform(&[4096], 0.0, 1.0, &mut rng);
+    let (avx2, scalar) = (rows_under("avx2"), rows_under("scalar"));
+    BatchEngine::with_threads(1)
+        .run_plan_batch(&compiled, &[input])
+        .expect("run");
+    assert_eq!(rows_under("scalar") - scalar, 3, "scalar-run rows");
+    assert_eq!(rows_under("avx2"), avx2, "no row runs the vector kernel");
 }

@@ -13,9 +13,11 @@
 mod common;
 
 use common::{conv_of, one_conv, one_dense};
+use mixmatch::nn::lower::ActKind;
 use mixmatch::prelude::*;
 use mixmatch::quant::codes::OpCounts;
 use mixmatch::quant::engine::BatchEngine;
+use mixmatch::quant::graph::{apply_epilogue, Epilogue, PostOp};
 use mixmatch::quant::integer::{ActQuantizer, QuantizedMatrix};
 use mixmatch::quant::msq::MsqPolicy;
 use mixmatch::quant::rowwise::RowAssignment;
@@ -58,9 +60,24 @@ fn adversarial_activations(rng: &mut TensorRng, len: usize, clip: f32) -> Vec<f3
         .collect()
 }
 
+/// The post-op chains a fused step carries: none, `Relu`, and
+/// `Relu → Requantize`.
+fn epilogues() -> [Epilogue; 3] {
+    let mut relu = Epilogue::new();
+    relu.push(PostOp::Activation(ActKind::Relu));
+    let mut relu_requantize = relu;
+    relu_requantize.push(PostOp::Requantize);
+    [Epilogue::new(), relu, relu_requantize]
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
 /// One matrix through three executions of the same shapes: the interpreted
 /// reference, the scalar-pinned plan, and the host-dispatched plan. All
-/// three must agree bit-for-bit on outputs *and* op accounting.
+/// three must agree bit-for-bit on outputs *and* op accounting, with and
+/// without an epilogue in the write-back.
 fn assert_three_way_parity(qm: &QuantizedMatrix, act: &ActQuantizer, n: usize, seed: u64) {
     let mut rng = TensorRng::seed_from(seed);
     let x = adversarial_activations(&mut rng, qm.cols() * n, act.clip);
@@ -83,6 +100,14 @@ fn assert_three_way_parity(qm: &QuantizedMatrix, act: &ActQuantizer, n: usize, s
             act.bits
         );
         assert_eq!(ops, ops_ref, "{tier:?} op accounting diverged");
+        for epilogue in epilogues() {
+            let mut expect = y_ref.as_slice().to_vec();
+            apply_epilogue(&epilogue, act, &mut expect);
+            let mut out = vec![f32::NAN; qm.rows() * n];
+            let ops = tiered.matmul_patches_into(&tile, n, act, &mut out, n, 0, Some(&epilogue));
+            assert_eq!(bits(&out), bits(&expect), "{tier:?} {epilogue:?}");
+            assert_eq!(ops, ops_ref, "{tier:?} {epilogue:?} op accounting");
+        }
     }
 }
 
@@ -114,6 +139,26 @@ fn kernel_parity_across_schemes_shapes_and_activation_widths() {
             for bits in [4u32, 8, 15, 16] {
                 let act = ActQuantizer::new(bits, 1.25);
                 assert_three_way_parity(&qm, &act, n, 1000 + rows as u64 * 31 + bits as u64);
+            }
+        }
+    }
+}
+
+#[test]
+fn kernel_parity_on_shapes_that_fill_row_and_patch_blocks() {
+    // Rows cross the 4-row block, n the 8- and 16-patch blocks, and K sits
+    // on both sides of a multiple of 16.
+    let mut rng = TensorRng::seed_from(107);
+    for rows in [4usize, 5, 8, 33] {
+        for cols in [31usize, 32, 33, 47, 48, 49] {
+            let w = Tensor::randn(&[rows, cols], &mut rng);
+            let qm = QuantizedMatrix::from_float(&w, &MsqPolicy::msq_optimal());
+            for n in [8usize, 15, 16, 17, 33] {
+                for bits in [4u32, 15] {
+                    let act = ActQuantizer::new(bits, 1.25);
+                    let seed = 3000 + (rows * 1000 + cols * 10 + n) as u64 + bits as u64;
+                    assert_three_way_parity(&qm, &act, n, seed);
+                }
             }
         }
     }
@@ -325,9 +370,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
     #[test]
     fn kernel_parity_on_random_shapes(
-        rows in 1usize..7,
+        rows in 1usize..40,
         cols in 1usize..90,
-        n in 1usize..7,
+        n in 1usize..40,
         bits_idx in 0usize..4,
         ratio in 0.0f32..1.0,
         seed in 0u64..10_000,
